@@ -83,10 +83,6 @@ class FactorialReport:
         return e - hw, e + hw
 
 
-def _pair_key(a: str, b: str) -> tuple:
-    return (a, b)
-
-
 def analyze(rows, response: str, design=DEFAULT_DESIGN) -> FactorialReport:
     """Decompose `response` over the full factorial described by `design`.
 
@@ -143,7 +139,7 @@ def analyze(rows, response: str, design=DEFAULT_DESIGN) -> FactorialReport:
                     cell_mean = sum(sel) / len(sel)
                     per[(la, lb)] = cell_mean - (grand + effects[fa.name][la]
                                                  + effects[fb.name][lb])
-            interactions[_pair_key(fa.name, fb.name)] = per
+            interactions[fa.name, fb.name] = per
 
     ss: dict = {}
     dof: dict = {}
@@ -158,8 +154,8 @@ def analyze(rows, response: str, design=DEFAULT_DESIGN) -> FactorialReport:
         la = len(levels[na])
         lb = len(levels[nb])
         reps = n // (la * lb)
-        ss[_pair_key(na, nb)] = reps * sum(e * e for e in per.values())
-        dof[_pair_key(na, nb)] = (la - 1) * (lb - 1)
+        ss[na, nb] = reps * sum(e * e for e in per.values())
+        dof[na, nb] = (la - 1) * (lb - 1)
 
     explained = sum(ss[f.name] for f in design)
     explained += sum(ss[k] for k in interactions)

@@ -31,8 +31,6 @@ class SchedulingError(Exception):
 @dataclass
 class RunStats:
     events: int = 0
-    cells_forwarded: int = 0
-    cells_dropped: int = 0
 
 
 def derive_seed(master_seed: int, *labels) -> int:
@@ -154,7 +152,6 @@ class Simulator:
         self._seq = 0
         self._heap: list = []
         self._streams: dict[str, RngStream] = {}
-        self._ports: list = []
         self.events_processed = 0
 
     @property
@@ -176,9 +173,9 @@ class Simulator:
         heappush(self._heap, (at, self._seq, fn, arg))
         self._seq += 1
 
-    def register_port(self, port) -> None:
-        """Ports registered here feed the cell counters in RunStats."""
-        self._ports.append(port)
+    def clear(self) -> None:
+        """Drop every pending event."""
+        self._heap.clear()
 
     def run_until(self, end: int) -> RunStats:
         """Process every event with fire_at <= end; clock finishes at `end`."""
@@ -195,6 +192,4 @@ class Simulator:
         self.events_processed += n
         if end > self._now:
             self._now = end
-        fwd = sum(p.cells_out for p in self._ports)
-        drop = sum(p.cells_dropped for p in self._ports)
-        return RunStats(self.events_processed, fwd, drop)
+        return RunStats(self.events_processed)

@@ -90,7 +90,6 @@ class Topology:
         self.clients: list[TcpEndpoint] = []
         self.client_apps: list[ClientApp] = []
         self.server_apps: list[ServerApp] = []
-        self.client_reasm: list[Reassembler] = []
         for c in range(n):
             server_in = IngressLink(self.sim, self.forward, sc.access_bps,
                                     sc.access_prop_ns)
@@ -100,14 +99,12 @@ class Topology:
                                  _make_transmit(c, server_in))
             client = TcpEndpoint(self.sim, c, 0, spec.tcp_flavor, params,
                                  _make_transmit(c, client_in))
-            c_reasm = Reassembler()
-            s_reasm = Reassembler()
             self.forward.egress[c] = EgressLink(
                 self.sim, sc.access_bps, sc.bottleneck_prop_ns,
-                sc.access_prop_ns, c_reasm, client.on_frame)
+                sc.access_prop_ns, Reassembler(), client.on_frame)
             self.reverse.egress[c] = EgressLink(
                 self.sim, sc.access_bps, sc.bottleneck_prop_ns,
-                sc.access_prop_ns, s_reasm, server.on_frame)
+                sc.access_prop_ns, Reassembler(), server.on_frame)
             app_c = ClientApp(self.sim, client, sc.traffic,
                               self.sim.stream(f"request-count:{c}"),
                               self.sim.stream(f"inter-request-gap:{c}"),
@@ -118,15 +115,17 @@ class Topology:
             self.clients.append(client)
             self.client_apps.append(app_c)
             self.server_apps.append(app_s)
-            self.client_reasm.append(c_reasm)
 
     def run(self) -> RunResult:
         sc = self.spec.scenario
-        stats = self.sim.run_until(seconds(sc.duration_s))
+        end = seconds(sc.duration_s)
+        stats = self.sim.run_until(end)
         for port in (self.forward, self.reverse):
-            if not port.conservation_ok():
+            port._complete(end)
+            broken = port.broken_invariant()
+            if broken:
                 raise RuntimeError(
-                    f"cell conservation violated on {port.name} port: "
+                    f"invariant {broken} violated on {port.name} port: "
                     f"in={port.cells_in} out={port.cells_out} "
                     f"dropped={port.cells_dropped} queued={port.occupancy}")
         goodputs = [cl.rcv_nxt * 8.0 / sc.duration_s for cl in self.clients]
@@ -156,7 +155,7 @@ class Topology:
             cells_out=self.forward.cells_out,
             cells_dropped=self.forward.cells_dropped,
             rev_cells_dropped=self.reverse.cells_dropped,
-            frames_corrupt=sum(r.frames_corrupt for r in self.client_reasm),
+            frames_corrupt=sum(e.reasm.frames_corrupt for e in self.forward.egress),
             timeouts=sum(e.timeouts for e in ends),
             fast_recoveries=sum(e.fast_recoveries for e in ends),
             rexmit_segs=sum(e.rexmit_segs for e in ends),
@@ -166,7 +165,18 @@ class Topology:
             drop_logs=drop_logs,
         )
 
+    def close(self) -> None:
+        """Break the cell's reference cycles so that refcounting frees it."""
+        self.sim.clear()
+        self.forward.egress = self.reverse.egress = None
+        for ep in self.servers + self.clients:
+            ep.app_recv = None
+
 
 def run_cell(spec: RunSpec, log_drops: bool = False) -> RunResult:
     """Build and run one grid cell to completion."""
-    return Topology(spec, log_drops=log_drops).run()
+    topo = Topology(spec, log_drops=log_drops)
+    try:
+        return topo.run()
+    finally:
+        topo.close()

@@ -1,17 +1,17 @@
 """UBR+ bottleneck port (EPD / Selective Drop) and access-link conveyors.
 
-The two inter-switch output ports are simulated cell by cell: every cell
-arrival is an event, every cell transmission completion is an event, and the
-drop policy is evaluated at frame boundaries against the live buffer state.
-Access links never drop and never reorder, so they are simulated as exact
-closed-form FIFO rate servers: each cell's departure time is
-max(arrival, previous departure) + 424/rate, identical to an event-driven
-queue but without per-cell events off the bottleneck.
+Every cell arrival at an inter-switch output port is an event, and the drop
+policy is evaluated at frame boundaries against the live buffer state.  The
+ports and the lossless access links are all exact closed-form FIFO rate
+servers: a cell departs at max(arrival, previous departure) + 424/rate, with
+no per-cell transmission event.  A port retires the cells that have left
+before it judges an arrival; a departure at t retires before an arrival at t.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 from .aal5 import CELL_BYTES, Cell
 from .kernel import Simulator
@@ -50,6 +50,10 @@ class PolicyPort:
     Z*X/N_a cells, i.e. more than its share among the N_a VCs currently
     buffered.  Mid-frame arrivals that meet a full buffer are tail-dropped
     and the rest of the frame, eom included, is discarded with them.
+
+    The buffer holds (departure_ns, vc) per cell.  An admitted cell goes to
+    its VC's egress link at once, with its departure time.  `_complete(now)`
+    retires departed cells from the counters; every arrival calls it first.
     """
 
     def __init__(self, sim: Simulator, name: str, rate_bps: float, capacity: int,
@@ -63,30 +67,31 @@ class PolicyPort:
         self.name = name
         self.capacity = capacity
         self.policy = policy
-        self.r = r
         self.z = z
         self.threshold = math.floor(r * capacity + 1e-9)  # R*K in whole cells
         self.tx_ns = cell_time_ns(rate_bps)
-        self.queue: list[Cell] = []  # deque semantics via head index
-        self._head = 0
+        self.queue: deque = deque()
+        self._free_at = 0  # departure time of the last admitted cell
         self.x_per_vc = [0] * num_vcs
         self.n_active = 0
         self._state = [_IDLE] * num_vcs
-        self._busy = False
         self.egress = [None] * num_vcs  # set by the topology builder
         self.cells_in = 0
         self.cells_out = 0
         self.cells_dropped = 0
         self.frames_discarded = 0
         self.drop_log: list | None = [] if log_drops else None
-        sim.register_port(self)
 
     @property
     def occupancy(self) -> int:
-        return len(self.queue) - self._head
+        return len(self.queue)
 
     def on_cell(self, cell: Cell) -> None:
         """Arrival event: policy decision at frame starts, then enqueue/drop."""
+        now = self.sim.now
+        q = self.queue
+        if q and q[0][0] <= now:
+            self._complete(now)
         vc = cell.vc
         state = self._state[vc]
         self.cells_in += 1
@@ -95,35 +100,25 @@ class PolicyPort:
             if cell.eom:
                 self._state[vc] = _IDLE
             return
-        x = len(self.queue) - self._head
-        if state == _IDLE:
-            # first cell of a frame: the only place the policy may refuse it
-            if x > self.threshold:
-                if self.policy == EPD:
-                    self._drop_frame(cell, DROP_FRAME_START, x)
-                    return
-                if sd_over_fair_share(self.x_per_vc[vc], x, self.n_active, self.z):
-                    self._drop_frame(cell, DROP_FRAME_START, x)
-                    return
-            if x >= self.capacity:
-                self._drop_frame(cell, DROP_TAIL_OVERFLOW, x)
-                return
-            if not cell.eom:
-                self._state[vc] = _ADMITTING
-        else:  # admitting, mid-frame
-            if x >= self.capacity:
-                self._drop_frame(cell, DROP_TAIL_OVERFLOW, x)
-                return
-            if cell.eom:
-                self._state[vc] = _IDLE
-        self.queue.append(cell)
+        x = len(q)
+        # first cell of a frame: the only place the policy may refuse it
+        if state == _IDLE and x > self.threshold and (
+                self.policy == EPD
+                or sd_over_fair_share(self.x_per_vc[vc], x, self.n_active, self.z)):
+            self._drop_frame(cell, DROP_FRAME_START, x)
+            return
+        if x >= self.capacity:
+            self._drop_frame(cell, DROP_TAIL_OVERFLOW, x)
+            return
+        self._state[vc] = _IDLE if cell.eom else _ADMITTING
+        dep = (now if now > self._free_at else self._free_at) + self.tx_ns
+        self._free_at = dep
+        q.append((dep, vc))
         xi = self.x_per_vc[vc]
         if xi == 0:
             self.n_active += 1
         self.x_per_vc[vc] = xi + 1
-        if not self._busy:
-            self._busy = True
-            self.sim.schedule(self.sim.now + self.tx_ns, self._complete)
+        self.egress[vc].offer(cell, dep)
 
     def _drop_frame(self, cell: Cell, verdict: str, x: int) -> None:
         vc = cell.vc
@@ -134,28 +129,32 @@ class PolicyPort:
                 (self.sim.now, vc, verdict, x, self.x_per_vc[vc], self.n_active))
         self._state[vc] = _IDLE if cell.eom else _DISCARDING
 
-    def _complete(self, _=None) -> None:
-        """Service completion: the head cell has been fully transmitted."""
+    def _complete(self, now: int) -> None:
+        """Retire every buffered cell whose transmission ends by `now`."""
         q = self.queue
-        cell = q[self._head]
-        self._head += 1
-        if self._head > 4096 and self._head * 2 > len(q):
-            del q[:self._head]
-            self._head = 0
-        vc = cell.vc
-        xi = self.x_per_vc[vc] - 1
-        self.x_per_vc[vc] = xi
-        if xi == 0:
-            self.n_active -= 1
-        self.cells_out += 1
-        self.egress[vc].offer(cell)
-        if len(q) > self._head:
-            self.sim.schedule(self.sim.now + self.tx_ns, self._complete)
-        else:
-            self._busy = False
+        x_per_vc = self.x_per_vc
+        n = len(q)
+        while q and q[0][0] <= now:
+            vc = q.popleft()[1]
+            xi = x_per_vc[vc] - 1
+            x_per_vc[vc] = xi
+            if xi == 0:
+                self.n_active -= 1
+        self.cells_out += n - len(q)
 
     def conservation_ok(self) -> bool:
         return self.cells_in == self.cells_out + self.cells_dropped + self.occupancy
+
+    def broken_invariant(self) -> str | None:
+        """Name of the first run-end invariant that fails, or None."""
+        x, held = self.x_per_vc, len(self.queue)
+        checks = (
+            ("cell conservation", self.conservation_ok()),
+            ("sum(x_per_vc) == occupancy", sum(x) == held),
+            ("n_active == nonzero x_per_vc", self.n_active == len(x) - x.count(0)),
+            ("egress cells_in == cells_out + occupancy",
+             sum(e.cells_in for e in self.egress) == self.cells_out + held))
+        return next((name for name, ok in checks if not ok), None)
 
 
 class IngressLink:
@@ -192,11 +191,12 @@ class IngressLink:
 class EgressLink:
     """Far-side path of one VC: bottleneck propagation, then its access link.
 
-    Receives cells synchronously as the policy port finishes transmitting
-    them.  Body cells are tallied into the reassembler immediately (their
-    delivery order within the frame is immaterial); the frame verdict is
-    computed at the eom cell and, when the frame is intact, delivery of the
-    segment to the endpoint is scheduled for the eom cell's arrival time.
+    Receives each cell when the policy port admits it, with the time the
+    port finishes sending it.  Body cells are tallied into the reassembler
+    immediately (their delivery order within the frame is immaterial); the
+    frame verdict is computed at the eom cell, even one the port still holds,
+    and, when the frame is intact, delivery of the segment to the endpoint
+    is scheduled for the eom cell's arrival time.
     """
 
     __slots__ = ("sim", "reasm", "deliver", "tx_ns", "lead_ns", "_free_at",
@@ -213,9 +213,9 @@ class EgressLink:
         self._free_at = 0
         self.cells_in = 0
 
-    def offer(self, cell: Cell) -> None:
+    def offer(self, cell: Cell, port_departure_ns: int) -> None:
         self.cells_in += 1
-        dep = max(self.sim.now + self.lead_ns, self._free_at) + self.tx_ns
+        dep = max(port_departure_ns + self.lead_ns, self._free_at) + self.tx_ns
         self._free_at = dep
         if not cell.eom:
             self.reasm.body()

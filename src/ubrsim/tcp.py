@@ -109,7 +109,6 @@ class TcpEndpoint:
         self._ooo: list[list] = []    # [start, end, recency] above rcv_nxt
         self._stamp = 0
         # --- counters ---
-        self.segs_sent = 0
         self.rexmit_segs = 0
         self.timeouts = 0
         self.fast_recoveries = 0
@@ -133,7 +132,6 @@ class TcpEndpoint:
         elif self._timed_end is None:
             self._timed_end = rec.end
             self._timed_at = self.sim.now
-        self.segs_sent += 1
         if self.trace:
             self.trace((self.sim.now, "rtx" if retransmission else "snd",
                         self.cwnd, self.ssthresh, self.snd_una))

@@ -1,15 +1,18 @@
 """Scenario construction, end-to-end cell runs, grid execution, CSV output."""
 
+import gc
 import io
 
 import pytest
 
+from ubrsim import netsim
 from ubrsim.experiment import (format_row, run_cell_safe, run_grid,
                                write_results)
-from ubrsim.netsim import CSV_COLUMNS, run_cell
+from ubrsim.kernel import seconds
+from ubrsim.netsim import CSV_COLUMNS, Topology, run_cell
 from ubrsim.scenarios import (BUFFER_LEVELS, DELAY_CLASSES, POLICIES, RunSpec,
                               build_scenario, buffer_table, grid)
-from ubrsim.tcp import FLAVORS
+from ubrsim.tcp import FLAVORS, TcpEndpoint
 
 
 def tiny_scenario(delay_class="wan", seed=1, connections=2, duration_s=2.0):
@@ -122,6 +125,47 @@ def test_run_cell_safe_turns_crash_into_error_row():
     assert res.status.startswith("error: ValueError")
     assert res.efficiency != res.efficiency      # nan
     assert res.tcp_flavor == "bogus"
+
+
+@pytest.mark.parametrize("corrupt, invariant", [
+    (lambda port: port.x_per_vc.__setitem__(0, port.x_per_vc[0] + 1),
+     "sum(x_per_vc) == occupancy"),
+    (lambda port: setattr(port, "n_active", port.n_active + 1),
+     "n_active == nonzero x_per_vc"),
+    (lambda port: setattr(port.egress[0], "cells_in", port.egress[0].cells_in + 1),
+     "egress cells_in == cells_out + occupancy"),
+    (lambda port: setattr(port, "cells_in", port.cells_in + 1),
+     "cell conservation"),
+])
+def test_broken_run_end_invariant_names_itself_in_the_row(monkeypatch, corrupt,
+                                                          invariant):
+    build = Topology.__init__
+
+    def build_then_corrupt_at_end(topo, spec, **kwargs):
+        build(topo, spec, **kwargs)
+        end = seconds(spec.scenario.duration_s)
+        topo.sim.schedule(end, lambda _: corrupt(topo.reverse))
+
+    monkeypatch.setattr(netsim.Topology, "__init__", build_then_corrupt_at_end)
+    res = run_cell_safe(RunSpec(tiny_scenario(), "epd", "reno", "1"))
+    assert res.status.startswith(
+        f"error: RuntimeError: invariant {invariant} violated on reverse port")
+
+
+def test_run_grid_frees_every_topology_without_the_cycle_collector():
+    sc = tiny_scenario(connections=2, duration_s=0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        results = run_grid(sc)
+        live = [o for o in gc.get_objects()
+                if isinstance(o, (Topology, TcpEndpoint))]
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert all(r.status == "ok" for r in results)
+    assert live == []
+    assert garbage == 0
 
 
 def test_run_grid_sequential_order_and_status():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import EventDrivenPort
 from ubrsim.aal5 import Cell, Reassembler, Segment, segment_to_cells
 from ubrsim.kernel import Simulator
 from ubrsim.switchport import (DROP_FRAME_START, DROP_TAIL_OVERFLOW, EPD, SD,
@@ -14,9 +15,11 @@ from ubrsim.switchport import (DROP_FRAME_START, DROP_TAIL_OVERFLOW, EPD, SD,
 class EgressRecorder:
     def __init__(self):
         self.cells = []
+        self.departures = []
 
-    def offer(self, cell):
+    def offer(self, cell, port_departure_ns):
         self.cells.append(cell)
+        self.departures.append(port_departure_ns)
 
 
 def make_port(policy, capacity=1000, num_vcs=4, rate=45e6, log=True):
@@ -109,11 +112,13 @@ def test_service_preserves_fifo_and_routes_per_vc():
     feed_frame(port, 0, 3)
     feed_frame(port, 1, 2)
     sim.run_until(9422 * 5 + 1)
+    port._complete(sim.now)
     assert [c.vc for c in port.egress[0].cells] == [0, 0, 0]
     assert [c.vc for c in port.egress[1].cells] == [1, 1]
+    assert port.egress[0].departures == [9422, 9422 * 2, 9422 * 3]
+    assert port.egress[1].departures == [9422 * 4, 9422 * 5]
     assert port.cells_out == 5
     assert port.occupancy == 0
-    assert not port._busy
 
 
 def test_active_vc_count_tracks_buffered_cells():
@@ -122,8 +127,10 @@ def test_active_vc_count_tracks_buffered_cells():
     feed_frame(port, 2, 2)
     assert port.n_active == 2
     sim.run_until(9422 * 2 + 1)              # VC0's two cells served
+    port._complete(sim.now)
     assert port.n_active == 1
     sim.run_until(9422 * 4 + 1)
+    port._complete(sim.now)
     assert port.n_active == 0
     assert port.x_per_vc == [0, 0, 0]
 
@@ -138,6 +145,7 @@ def test_cell_conservation_through_random_load():
         feed_frame(port, rng.randrange(4), rng.randint(1, 9))
         assert port.conservation_ok()
     sim.run_until(t + 10 ** 9)
+    port._complete(sim.now)
     assert port.conservation_ok()
     assert port.occupancy == 0
     assert port.cells_in == port.cells_out + port.cells_dropped
@@ -157,6 +165,58 @@ def test_single_vc_sd_behaves_like_epd():
             feed_frame(port, 0, rng.randint(1, 10))
         logs.append([(e[0], e[2]) for e in port.drop_log])
     assert logs[0] == logs[1]
+
+
+def random_cell_trace(rng, num_vcs, tx, n):
+    """(time, cell) arrivals with frames of 1-8 cells interleaved across VCs;
+    many gaps are whole cell times, so arrivals often coincide with a
+    departure, and a zero gap puts several arrivals on one nanosecond."""
+    left = [0] * num_vcs
+    frames = 0
+    t = 0
+    trace = []
+    for _ in range(n):
+        t += rng.choice((0, 0, tx, tx, 2 * tx, rng.randrange(3 * tx)))
+        vc = rng.randrange(num_vcs)
+        if left[vc] == 0:
+            left[vc] = rng.randint(1, 8)
+        left[vc] -= 1
+        if left[vc]:
+            trace.append((t, Cell(vc, False, None)))
+        else:
+            frames += 1
+            trace.append((t, Cell(vc, True, Segment(vc, 1, frames, 0, None))))
+    return trace
+
+
+@pytest.mark.parametrize("policy", [EPD, SD])
+@pytest.mark.parametrize("capacity", [8, 12, 40])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lazy_port_matches_event_driven_oracle(policy, capacity, seed):
+    num_vcs = 4
+    fast_sim, fast = make_port(policy, capacity=capacity, num_vcs=num_vcs)
+    slow_sim = Simulator()
+    slow = EventDrivenPort(slow_sim, 45e6, capacity, policy, num_vcs)
+    slow.egress = [EgressRecorder() for _ in range(num_vcs)]
+    ties = 0
+    for t, cell in random_cell_trace(random.Random(seed), num_vcs, 9422, 4000):
+        fast_sim.run_until(t)
+        slow_sim.run_until(t)                # completions at t fire first
+        ties += bool(fast.queue) and fast.queue[0][0] == t
+        fast.on_cell(cell)
+        slow.on_cell(cell)
+    assert ties > 0
+    assert fast.drop_log == slow.drop_log
+    assert len(fast.drop_log) > 0
+    slow_sim.run_until(t + 10 ** 9)
+    fast_sim.run_until(t + 10 ** 9)
+    fast._complete(fast_sim.now)
+    for f, s in zip(fast.egress, slow.egress):
+        assert list(zip(f.departures, f.cells)) == list(zip(s.departures, s.cells))
+    counters = ("cells_in", "cells_out", "cells_dropped", "frames_discarded",
+                "occupancy", "n_active", "x_per_vc")
+    assert ([getattr(fast, c) for c in counters]
+            == [getattr(slow, c) for c in counters])
 
 
 def test_ingress_link_paces_and_delays_cells():
@@ -185,8 +245,8 @@ def test_egress_link_delivers_intact_frames_at_arrival_time():
                       deliver=lambda seg: delivered.append((sim.now, seg)))
     seg = Segment(0, 1, 0, 100, None)
     cells = segment_to_cells(0, seg)
-    for c in cells:                         # all offered at t=0
-        link.offer(c)
+    for c in cells:                         # all leave the port at t=0
+        link.offer(c, 0)
     sim.run_until(10 ** 9)
     assert delivered == [(5_000_000 + 4 * 2831 + 5000, seg)]
 
@@ -200,10 +260,10 @@ def test_egress_link_drops_frame_missing_a_cell():
     seg = Segment(0, 1, 0, 100, None)
     cells = segment_to_cells(0, seg)
     for c in cells[1:]:                     # first body cell lost upstream
-        link.offer(c)
+        link.offer(c, 0)
     good = Segment(0, 1, 1, 100, None)
     for c in segment_to_cells(0, good):
-        link.offer(c)
+        link.offer(c, 0)
     sim.run_until(10 ** 9)
     assert delivered == [good]
     assert reasm.frames_corrupt == 1
