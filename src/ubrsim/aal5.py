@@ -72,10 +72,9 @@ class Reassembler:
     silently discarded, and the cells already received count as wasted.
     """
 
-    __slots__ = ("deliver", "count", "frames_ok", "frames_corrupt", "cells_wasted")
+    __slots__ = ("count", "frames_ok", "frames_corrupt", "cells_wasted")
 
-    def __init__(self, deliver=None):
-        self.deliver = deliver  # if set, called with the Segment of each intact frame
+    def __init__(self):
         self.count = 0
         self.frames_ok = 0
         self.frames_corrupt = 0
@@ -85,12 +84,11 @@ class Reassembler:
         self.count += 1
 
     def eom(self, seg: Segment) -> bool:
+        """Close the frame at its eom cell; True if it arrived intact."""
         got = self.count + 1
         self.count = 0
         if got == cells_for_segment(seg.length):
             self.frames_ok += 1
-            if self.deliver is not None:
-                self.deliver(seg)
             return True
         self.frames_corrupt += 1
         self.cells_wasted += got

@@ -92,21 +92,17 @@ def parse_config_text(text: str, source: str = "config") -> dict:
                               f"got {value!r}")
         values[key] = parsed
         lines[key] = lineno
-    if "gap_min_s" in values and "gap_max_s" in values:
-        if values["gap_min_s"] >= values["gap_max_s"]:
-            raise ConfigError(f"{source}:{lines['gap_max_s']}: gap_max_s must "
-                              "exceed gap_min_s")
     if ("class_bases" in values) != ("class_freqs" in values):
         only = "class_bases" if "class_bases" in values else "class_freqs"
         raise ConfigError(f"{source}:{lines[only]}: class_bases and class_freqs "
                           "must be given together")
-    if "class_freqs" in values:
-        if len(values["class_bases"]) != len(values["class_freqs"]):
-            raise ConfigError(f"{source}:{lines['class_freqs']}: class_bases and "
-                              "class_freqs must have the same length")
-        if abs(sum(values["class_freqs"]) - 1.0) > 1e-9:
-            raise ConfigError(f"{source}:{lines['class_freqs']}: class_freqs "
-                              "must sum to 1")
+    traffic = {k: values[k] for k in TRAFFIC_KEYS if k in values}
+    try:
+        TrafficParams(**traffic)
+    except ValueError as exc:
+        # TrafficParams owns the cross-field rules and names the fields
+        lineno = max(lines[k] for k in traffic if k in str(exc))
+        raise ConfigError(f"{source}:{lineno}: {exc}") from None
     return values
 
 

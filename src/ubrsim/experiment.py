@@ -11,6 +11,7 @@ import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 
 from .netsim import CSV_COLUMNS, RunResult, run_cell
@@ -42,20 +43,15 @@ def run_grid(scenario: Scenario, workers: int = 1, log_drops: bool = False,
              progress=None) -> list:
     """Execute every grid cell; results come back in canonical order."""
     specs = grid(scenario)
+    job = partial(run_cell_safe, log_drops=log_drops)
     results = []
-    if workers <= 1:
-        for i, spec in enumerate(specs):
-            res = run_cell_safe(spec, log_drops)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        rows = pool.map(job, specs) if pool else map(job, specs)
+        for i, res in enumerate(rows, start=1):
             results.append(res)
             if progress:
-                progress(i + 1, len(specs), res)
-    else:
-        job = partial(run_cell_safe, log_drops=log_drops)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, res in enumerate(pool.map(job, specs)):
-                results.append(res)
-                if progress:
-                    progress(i + 1, len(specs), res)
+                progress(i, len(specs), res)
     return results
 
 

@@ -11,8 +11,9 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from functools import cache
 from heapq import heappop, heappush
+from itertools import accumulate
 
 NS_PER_SEC = 1_000_000_000
 NS_PER_MS = 1_000_000
@@ -26,11 +27,6 @@ def seconds(t: float | int) -> int:
 
 class SchedulingError(Exception):
     """Raised when an event is scheduled before the current virtual time."""
-
-
-@dataclass
-class RunStats:
-    events: int = 0
 
 
 def derive_seed(master_seed: int, *labels) -> int:
@@ -49,10 +45,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: str):
-        self.seed = seed
-        self.stream_id = stream_id
         self._rng = random.Random(derive_seed(seed, stream_id))
-        self._poisson_cache: dict[tuple[float, int, int], tuple[list[float], int]] = {}
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
@@ -91,16 +84,8 @@ class RngStream:
             return lo
         if mean == hi:
             return hi
-        key = (mean, lo, hi)
-        entry = self._poisson_cache.get(key)
-        if entry is None:
-            lam = _calibrate_rate(mean, lo, hi)
-            cdf = _truncated_cdf(lam, lo, hi)
-            entry = (cdf, lo)
-            self._poisson_cache[key] = entry
-        cdf, base = entry
-        u = self._rng.random()
-        return base + bisect_right(cdf, u * cdf[-1])
+        cdf = _truncated_poisson_cdf(mean, lo, hi)
+        return lo + bisect_right(cdf, self._rng.random() * cdf[-1])
 
 
 def _poisson_weights(lam: float, lo: int, hi: int) -> list[float]:
@@ -134,13 +119,11 @@ def _calibrate_rate(mean: float, lo: int, hi: int) -> float:
     return 0.5 * (a + b)
 
 
-def _truncated_cdf(lam: float, lo: int, hi: int) -> list[float]:
-    cdf = []
-    acc = 0.0
-    for w in _poisson_weights(lam, lo, hi):
-        acc += w
-        cdf.append(acc)
-    return cdf
+@cache
+def _truncated_poisson_cdf(mean: float, lo: int, hi: int) -> tuple:
+    # unnormalized CDF over [lo, hi] at the calibrated rate; calibrated once
+    # per process for each (mean, lo, hi)
+    return tuple(accumulate(_poisson_weights(_calibrate_rate(mean, lo, hi), lo, hi)))
 
 
 class Simulator:
@@ -177,7 +160,7 @@ class Simulator:
         """Drop every pending event."""
         self._heap.clear()
 
-    def run_until(self, end: int) -> RunStats:
+    def run_until(self, end: int) -> None:
         """Process every event with fire_at <= end; clock finishes at `end`."""
         heap = self._heap
         n = 0
@@ -192,4 +175,3 @@ class Simulator:
         self.events_processed += n
         if end > self._now:
             self._now = end
-        return RunStats(self.events_processed)

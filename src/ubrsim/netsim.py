@@ -89,7 +89,6 @@ class Topology:
         self.servers: list[TcpEndpoint] = []
         self.clients: list[TcpEndpoint] = []
         self.client_apps: list[ClientApp] = []
-        self.server_apps: list[ServerApp] = []
         for c in range(n):
             server_in = IngressLink(self.sim, self.forward, sc.access_bps,
                                     sc.access_prop_ns)
@@ -109,17 +108,16 @@ class Topology:
                               self.sim.stream(f"request-count:{c}"),
                               self.sim.stream(f"inter-request-gap:{c}"),
                               duration_ns)
-            app_s = ServerApp(server, sc.traffic,
-                              self.sim.stream(f"file-size:{c}"))
+            # the server app lives on as server.app_recv
+            ServerApp(server, sc.traffic, self.sim.stream(f"file-size:{c}"))
             self.servers.append(server)
             self.clients.append(client)
             self.client_apps.append(app_c)
-            self.server_apps.append(app_s)
 
     def run(self) -> RunResult:
         sc = self.spec.scenario
         end = seconds(sc.duration_s)
-        stats = self.sim.run_until(end)
+        self.sim.run_until(end)
         for port in (self.forward, self.reverse):
             port._complete(end)
             broken = port.broken_invariant()
@@ -128,6 +126,14 @@ class Topology:
                     f"invariant {broken} violated on {port.name} port: "
                     f"in={port.cells_in} out={port.cells_out} "
                     f"dropped={port.cells_dropped} queued={port.occupancy}")
+        for c, (cl, sv, app) in enumerate(
+                zip(self.clients, self.servers, self.client_apps)):
+            broken = broken_connection_invariant(cl, sv, app)
+            if broken:
+                raise RuntimeError(
+                    f"invariant {broken} violated on connection {c}: "
+                    f"client {_tcp_state(cl)}, server {_tcp_state(sv)}, "
+                    f"bytes_received={app.bytes_received}")
         goodputs = [cl.rcv_nxt * 8.0 / sc.duration_s for cl in self.clients]
         demands = [sv.app_bytes * 8.0 / sc.duration_s for sv in self.servers]
         eff = efficiency(goodputs, sc.mss, sc.bottleneck_bps)
@@ -159,7 +165,7 @@ class Topology:
             timeouts=sum(e.timeouts for e in ends),
             fast_recoveries=sum(e.fast_recoveries for e in ends),
             rexmit_segs=sum(e.rexmit_segs for e in ends),
-            events=stats.events,
+            events=self.sim.events_processed,
             goodputs=goodputs,
             demands=demands,
             drop_logs=drop_logs,
@@ -171,6 +177,28 @@ class Topology:
         self.forward.egress = self.reverse.egress = None
         for ep in self.servers + self.clients:
             ep.app_recv = None
+
+
+def broken_connection_invariant(client: TcpEndpoint, server: TcpEndpoint,
+                                client_app: ClientApp) -> str | None:
+    """Name of the first TCP run-end invariant of a connection that fails."""
+    ends = (client, server)
+    checks = (
+        ("client rcv_nxt <= server snd_nxt <= server app_bytes",
+         client.rcv_nxt <= server.snd_nxt <= server.app_bytes),
+        ("server rcv_nxt <= client snd_nxt <= client app_bytes",
+         server.rcv_nxt <= client.snd_nxt <= client.app_bytes),
+        ("protocol_errors == 0", all(e.protocol_errors == 0 for e in ends)),
+        ("window_drops == 0", all(e.window_drops == 0 for e in ends)),
+        ("bytes_received == client rcv_nxt",
+         client_app.bytes_received == client.rcv_nxt))
+    return next((name for name, ok in checks if not ok), None)
+
+
+def _tcp_state(ep: TcpEndpoint) -> str:
+    return (f"rcv_nxt={ep.rcv_nxt} snd_nxt={ep.snd_nxt} "
+            f"app_bytes={ep.app_bytes} protocol_errors={ep.protocol_errors} "
+            f"window_drops={ep.window_drops}")
 
 
 def run_cell(spec: RunSpec, log_drops: bool = False) -> RunResult:

@@ -19,9 +19,11 @@ from .kernel import Simulator
 EPD = "epd"
 SD = "sd"
 
-ACCEPT = "accept"
 DROP_FRAME_START = "drop_frame_start"
 DROP_TAIL_OVERFLOW = "drop_tail_overflow"
+
+R = 0.8  # EPD threshold as a fraction of the buffer size K
+Z = 0.8  # Selective Drop factor on a VC's fair share
 
 # per-VC frame-walk states
 _IDLE = 0        # next cell starts a new frame
@@ -36,8 +38,9 @@ def cell_time_ns(rate_bps: float) -> int:
 def sd_over_fair_share(x_i: int, x_total: int, n_active: int, z: float) -> bool:
     """Selective Drop fair-share test: X_i > Z * X / N_a.
 
-    The drop-audit tooling uses this same expression, so logged decisions can
-    be re-checked exactly.
+    The port, the event-driven test oracle and the unit tests call this
+    function; the acceptance gate's drop audit re-checks logged drops
+    independently, by integer cross-multiplication.
     """
     return x_i > z * x_total / n_active
 
@@ -57,8 +60,7 @@ class PolicyPort:
     """
 
     def __init__(self, sim: Simulator, name: str, rate_bps: float, capacity: int,
-                 policy: str, num_vcs: int, r: float = 0.8, z: float = 0.8,
-                 log_drops: bool = False):
+                 policy: str, num_vcs: int, log_drops: bool = False):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if policy not in (EPD, SD):
@@ -67,8 +69,7 @@ class PolicyPort:
         self.name = name
         self.capacity = capacity
         self.policy = policy
-        self.z = z
-        self.threshold = math.floor(r * capacity + 1e-9)  # R*K in whole cells
+        self.threshold = math.floor(R * capacity + 1e-9)  # R*K in whole cells
         self.tx_ns = cell_time_ns(rate_bps)
         self.queue: deque = deque()
         self._free_at = 0  # departure time of the last admitted cell
@@ -104,7 +105,7 @@ class PolicyPort:
         # first cell of a frame: the only place the policy may refuse it
         if state == _IDLE and x > self.threshold and (
                 self.policy == EPD
-                or sd_over_fair_share(self.x_per_vc[vc], x, self.n_active, self.z)):
+                or sd_over_fair_share(self.x_per_vc[vc], x, self.n_active, Z)):
             self._drop_frame(cell, DROP_FRAME_START, x)
             return
         if x >= self.capacity:

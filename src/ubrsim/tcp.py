@@ -33,6 +33,13 @@ FLAVORS = (VANILLA, RENO, NEWRENO, SACK)
 
 DUP_THRESH = 3
 
+# retransmission timer: a coarse 100 ms tick, a 2-tick floor, a 3 s initial
+# value and a 64 s cap on the backed-off timeout
+GRANULARITY_NS = 100 * NS_PER_MS
+MIN_GRANULES = 2
+MAX_RTO_NS = 64 * NS_PER_SEC
+INIT_RTO_NS = 3 * NS_PER_SEC
+
 
 def initial_ssthresh(rtt_s: float, bottleneck_bps: float) -> int:
     """Slow-start threshold preset to the path's RTT-bandwidth product (bytes)."""
@@ -44,10 +51,6 @@ class TcpParams:
     mss: int
     rcv_wnd: int
     init_ssthresh: int
-    granularity_ns: int = 100 * NS_PER_MS
-    min_granules: int = 2           # floor of the quantized RTO
-    max_rto_ns: int = 64 * NS_PER_SEC
-    init_rto_ns: int = 3 * NS_PER_SEC
 
 
 class SegRecord:
@@ -70,7 +73,7 @@ class TcpEndpoint:
     """One side of a pre-established duplex TCP connection."""
 
     def __init__(self, sim: Simulator, conn: int, sender_id: int, flavor: str,
-                 params: TcpParams, transmit, app_recv=None, trace=None):
+                 params: TcpParams, transmit):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
         self.sim = sim
@@ -79,8 +82,7 @@ class TcpEndpoint:
         self.flavor = flavor
         self.params = params
         self.transmit = transmit      # transmit(Segment)
-        self.app_recv = app_recv      # app_recv(newly delivered in-order bytes)
-        self.trace = trace
+        self.app_recv = None          # app_recv(newly delivered in-order bytes)
 
         # --- sender ---
         self.snd_una = 0
@@ -98,7 +100,7 @@ class TcpEndpoint:
         # RTO state
         self.srtt = None
         self.rttvar = 0.0
-        self.rto_ns = params.init_rto_ns
+        self.rto_ns = INIT_RTO_NS
         self.backoff = 0
         self._timer_gen = 0
         self._timer_on = False
@@ -132,9 +134,6 @@ class TcpEndpoint:
         elif self._timed_end is None:
             self._timed_end = rec.end
             self._timed_at = self.sim.now
-        if self.trace:
-            self.trace((self.sim.now, "rtx" if retransmission else "snd",
-                        self.cwnd, self.ssthresh, self.snd_una))
         self.transmit(Segment(self.conn, self.sender_id, rec.start,
                               rec.end - rec.start, None))
 
@@ -143,37 +142,38 @@ class TcpEndpoint:
         if self.in_recovery and self.flavor == SACK:
             self._sack_send()
             return
-        p = self.params
-        win = min(int(self.cwnd), p.rcv_wnd)
+        win = min(int(self.cwnd), self.params.rcv_wnd)
         while True:
-            flight = self._cursor - self.snd_una
             if self._cursor < self.snd_nxt:
                 rec = self._recs[self._cursor_i]
                 if self.flavor == SACK and rec.sacked:
                     self._cursor = rec.end       # already delivered, skip
                     self._cursor_i += 1
                     continue
-                size = rec.end - rec.start
-                if flight + size > win:
+                if self._cursor - self.snd_una + rec.end - rec.start > win:
                     return
                 self._cursor = rec.end
                 self._cursor_i += 1
                 self._emit(rec, True)
-            else:
-                avail = self.app_bytes - self.snd_nxt
-                if avail <= 0:
-                    return
-                size = min(p.mss, avail)
-                if flight + size > win:
-                    return
-                rec = SegRecord(self.snd_nxt, self.snd_nxt + size)
-                self._recs.append(rec)
-                self.snd_nxt = rec.end
-                self._cursor = rec.end
-                self._cursor_i = len(self._recs)
-                self._emit(rec, False)
+            elif not self._send_new(win):
+                return
             if not self._timer_on:
                 self._restart_timer()
+
+    def _send_new(self, win: int) -> int:
+        """Emit the next new segment if it fits `win` bytes above snd_una.
+
+        Returns its size, or 0 when there is nothing to send or no room.
+        """
+        size = min(self.params.mss, self.app_bytes - self.snd_nxt)
+        if size <= 0 or self.snd_nxt + size - self.snd_una > win:
+            return 0
+        rec = SegRecord(self.snd_nxt, self.snd_nxt + size)
+        self._recs.append(rec)
+        self.snd_nxt = self._cursor = rec.end
+        self._cursor_i = len(self._recs)
+        self._emit(rec, False)
+        return size
 
     # --------------------------------------------------------- ACK handling
 
@@ -213,24 +213,15 @@ class TcpEndpoint:
             self._timed_end = None
         p = self.params
         if self.in_recovery:
-            if self.flavor == RENO:
-                self.cwnd = self.ssthresh          # deflate, episode over
-                self._exit_recovery()
+            if self.flavor == RENO or ack >= self.recover:
+                self._exit_recovery()              # deflate, episode over
             elif self.flavor == NEWRENO:
-                if ack >= self.recover:
-                    self.cwnd = self.ssthresh
-                    self._exit_recovery()
-                else:
-                    # partial ACK: next hole starts at the new snd_una
-                    self._retransmit_head()
-                    self.cwnd = max(self.cwnd - acked + p.mss, float(p.mss))
-                    self._restart_timer()
-            else:  # SACK
-                if ack >= self.recover:
-                    self.cwnd = self.ssthresh
-                    self._exit_recovery()
-                else:
-                    self._restart_timer()
+                # partial ACK: next hole starts at the new snd_una
+                self._retransmit_head()
+                self.cwnd = max(self.cwnd - acked + p.mss, float(p.mss))
+                self._restart_timer()
+            else:  # SACK partial ACK
+                self._restart_timer()
         else:
             if self.cwnd < self.ssthresh:
                 self.cwnd += p.mss                 # slow start
@@ -261,17 +252,11 @@ class TcpEndpoint:
         if flavor != RENO and self.snd_una < self.recover:
             return  # newreno/sack: no second fast retransmit for the same window
         # enter fast retransmit / fast recovery
-        flight = self.snd_nxt - self.snd_una
-        self.ssthresh = float(max(flight // 2, 2 * p.mss))
-        self.recover = self.snd_nxt
+        self._on_loss()
         self.in_recovery = True
         self.fast_recoveries += 1
-        if self.trace:
-            self.trace((self.sim.now, "fastrtx", self.cwnd, self.ssthresh, self.snd_una))
         if flavor == SACK:
             self.cwnd = self.ssthresh
-            for i in range(self._base, len(self._recs)):
-                self._recs[i].rtx = False
             self._sack_send()
         else:
             self._retransmit_head()
@@ -279,11 +264,22 @@ class TcpEndpoint:
             self._try_send()
         self._restart_timer()
 
+    def _on_loss(self) -> None:
+        """Loss response shared by fast retransmit and timeout.
+
+        Halves ssthresh to the flight, sets the recovery point at snd_nxt and
+        starts a new episode of SACK retransmissions.
+        """
+        flight = self.snd_nxt - self.snd_una
+        self.ssthresh = float(max(flight // 2, 2 * self.params.mss))
+        self.recover = self.snd_nxt
+        for i in range(self._base, len(self._recs)):
+            self._recs[i].rtx = False
+
     def _exit_recovery(self) -> None:
+        self.cwnd = self.ssthresh
         self.in_recovery = False
         self.dupacks = 0
-        if self.trace:
-            self.trace((self.sim.now, "recov_exit", self.cwnd, self.ssthresh, self.snd_una))
 
     def _retransmit_head(self) -> None:
         if self._base < len(self._recs):
@@ -340,19 +336,9 @@ class TcpEndpoint:
                 if not self._timer_on:
                     self._restart_timer()
                 continue
-            avail = self.app_bytes - self.snd_nxt
-            if avail <= 0:
+            size = self._send_new(p.rcv_wnd)
+            if not size:
                 return
-            size = min(p.mss, avail)
-            if self.snd_nxt + size - self.snd_una > p.rcv_wnd:
-                return
-            rec = SegRecord(self.snd_nxt, self.snd_nxt + size)
-            recs.append(rec)
-            self.snd_nxt = rec.end
-            if self._cursor < rec.end:
-                self._cursor = rec.end
-                self._cursor_i = len(recs)
-            self._emit(rec, False)
             pipe += size
             if not self._timer_on:
                 self._restart_timer()
@@ -367,14 +353,13 @@ class TcpEndpoint:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - r)
             self.srtt = 0.875 * self.srtt + 0.125 * r
-        p = self.params
-        g = p.granularity_ns
+        g = GRANULARITY_NS
         raw = self.srtt + max(g, 4.0 * self.rttvar)
         quantized = -(-int(raw) // g) * g        # round up to the granule
-        self.rto_ns = min(max(quantized, p.min_granules * g), p.max_rto_ns)
+        self.rto_ns = min(max(quantized, MIN_GRANULES * g), MAX_RTO_NS)
 
     def _effective_rto(self) -> int:
-        return min(self.rto_ns << self.backoff, self.params.max_rto_ns)
+        return min(self.rto_ns << self.backoff, MAX_RTO_NS)
 
     def _restart_timer(self) -> None:
         self._timer_gen += 1
@@ -392,23 +377,16 @@ class TcpEndpoint:
         self._timer_on = False
         if self.snd_una >= self.snd_nxt:
             return
-        p = self.params
         self.timeouts += 1
-        flight = self.snd_nxt - self.snd_una
-        self.ssthresh = float(max(flight // 2, 2 * p.mss))
-        self.cwnd = float(p.mss)
+        self._on_loss()
+        self.cwnd = float(self.params.mss)
         if self.backoff < 12:
             self.backoff += 1
         self.in_recovery = False
         self.dupacks = 0
-        self.recover = self.snd_nxt
         self._timed_end = None                   # Karn
         self._cursor = self.snd_una              # go-back-N from the hole
         self._cursor_i = self._base
-        for i in range(self._base, len(self._recs)):
-            self._recs[i].rtx = False
-        if self.trace:
-            self.trace((self.sim.now, "timeout", self.cwnd, self.ssthresh, self.snd_una))
         self._restart_timer()
         self._try_send()
 

@@ -36,10 +36,20 @@ class TrafficParams:
     class_freqs: tuple = CLASS_FREQS
 
     def __post_init__(self):
+        # every message names the fields it judges; the config parser reports
+        # the error at the latest line that set one of them
+        if not self.batch_period_s > 0:
+            raise ValueError(f"batch_period_s must be positive, "
+                             f"got {self.batch_period_s}")
+        if not 0 <= self.gap_min_s < self.gap_max_s:
+            raise ValueError(f"gap_max_s must exceed gap_min_s and gap_min_s "
+                             f"must be nonnegative, got [{self.gap_min_s}, "
+                             f"{self.gap_max_s})")
         if len(self.class_bases) != len(self.class_freqs):
-            raise ValueError("class_bases and class_freqs lengths differ")
+            raise ValueError("class_bases and class_freqs must have the same "
+                             "length")
         if abs(sum(self.class_freqs) - 1.0) > 1e-9:
-            raise ValueError("class frequencies must sum to 1")
+            raise ValueError("class frequencies (class_freqs) must sum to 1")
 
     @property
     def class_cum(self) -> tuple:
@@ -73,7 +83,6 @@ class ClientApp:
         self.count_rng = count_rng
         self.gap_rng = gap_rng
         self.duration_ns = duration_ns
-        self.requests_sent = 0
         self.bytes_received = 0
         tcp.app_recv = self._on_bytes
         sim.schedule(0, self._batch, None)
@@ -92,7 +101,6 @@ class ClientApp:
             self.sim.schedule(nxt, self._batch, None)
 
     def _send_request(self, _):
-        self.requests_sent += 1
         self.tcp.write(self.params.request_bytes)
 
     def _on_bytes(self, n: int):
@@ -106,8 +114,6 @@ class ServerApp:
         self.tcp = tcp
         self.params = params
         self.size_rng = size_rng
-        self.responses_sent = 0
-        self.response_bytes = 0
         self._pending = 0
         tcp.app_recv = self._on_bytes
 
@@ -116,10 +122,7 @@ class ServerApp:
         req = self.params.request_bytes
         while self._pending >= req:
             self._pending -= req
-            size = draw_response_bytes(self.size_rng, self.params)
-            self.responses_sent += 1
-            self.response_bytes += size
-            self.tcp.write(size)
+            self.tcp.write(draw_response_bytes(self.size_rng, self.params))
 
 
 def offered_load_bps(master_seed: int, clients: int, duration_s: float,

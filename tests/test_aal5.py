@@ -51,46 +51,47 @@ def test_segment_to_cells_shares_body_cell():
 
 
 def _feed(reasm, cells):
+    """Feed cells in order; return the segments of the frames judged intact."""
+    intact = []
     for c in cells:
-        if c.eom:
-            reasm.eom(c.seg)
-        else:
+        if not c.eom:
             reasm.body()
+        elif reasm.eom(c.seg):
+            intact.append(c.seg)
+    return intact
 
 
 @given(st.lists(st.integers(min_value=0, max_value=20_000), min_size=1, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_reassembly_round_trip_identity(lengths):
     got = []
-    reasm = Reassembler(deliver=got.append)
+    reasm = Reassembler()
     segs = [Segment(0, 1, i, n, None) for i, n in enumerate(lengths)]
     for seg in segs:
-        _feed(reasm, segment_to_cells(0, seg))
+        got += _feed(reasm, segment_to_cells(0, seg))
     assert got == segs
     assert reasm.frames_ok == len(segs)
     assert reasm.frames_corrupt == 0
 
 
 def test_lost_body_cell_corrupts_only_that_frame():
-    got = []
-    reasm = Reassembler(deliver=got.append)
+    reasm = Reassembler()
     seg1 = Segment(0, 1, 0, 1024, None)
     seg2 = Segment(0, 1, 1, 1024, None)
     cells = segment_to_cells(0, seg1)
-    _feed(reasm, cells[1:])              # one body cell lost
-    _feed(reasm, segment_to_cells(0, seg2))
+    got = _feed(reasm, cells[1:])        # one body cell lost
+    got += _feed(reasm, segment_to_cells(0, seg2))
     assert got == [seg2]
     assert reasm.frames_corrupt == 1
     assert reasm.cells_wasted == 22
 
 
 def test_lost_eom_cell_corrupts_the_following_frame_too():
-    got = []
-    reasm = Reassembler(deliver=got.append)
+    reasm = Reassembler()
     seg1 = Segment(0, 1, 0, 1024, None)
     seg2 = Segment(0, 1, 1, 1024, None)
-    _feed(reasm, segment_to_cells(0, seg1)[:-1])   # eom lost: no boundary
-    _feed(reasm, segment_to_cells(0, seg2))        # counts pollute this frame
+    got = _feed(reasm, segment_to_cells(0, seg1)[:-1])   # eom lost: no boundary
+    got += _feed(reasm, segment_to_cells(0, seg2))       # counts pollute this frame
     assert got == []
     assert reasm.frames_corrupt == 1
     assert reasm.cells_wasted == 22 + 23

@@ -156,5 +156,5 @@ def test_run_stats_counts_events():
     sim = Simulator()
     for t in range(10):
         sim.schedule(t, lambda _: None, None)
-    stats = sim.run_until(100)
-    assert stats.events == 10
+    sim.run_until(100)
+    assert sim.events_processed == 10

@@ -1,6 +1,7 @@
 """Scenario construction, end-to-end cell runs, grid execution, CSV output."""
 
 import gc
+import hashlib
 import io
 
 import pytest
@@ -127,16 +128,39 @@ def test_run_cell_safe_turns_crash_into_error_row():
     assert res.tcp_flavor == "bogus"
 
 
-@pytest.mark.parametrize("corrupt, invariant", [
-    (lambda port: port.x_per_vc.__setitem__(0, port.x_per_vc[0] + 1),
+def _bump(obj, attr, by=1):
+    setattr(obj, attr, getattr(obj, attr) + by)
+
+
+PORT_CORRUPTIONS = [
+    (lambda topo: topo.reverse.x_per_vc.__setitem__(0, topo.reverse.x_per_vc[0] + 1),
      "sum(x_per_vc) == occupancy"),
-    (lambda port: setattr(port, "n_active", port.n_active + 1),
+    (lambda topo: _bump(topo.reverse, "n_active"),
      "n_active == nonzero x_per_vc"),
-    (lambda port: setattr(port.egress[0], "cells_in", port.egress[0].cells_in + 1),
+    (lambda topo: _bump(topo.reverse.egress[0], "cells_in"),
      "egress cells_in == cells_out + occupancy"),
-    (lambda port: setattr(port, "cells_in", port.cells_in + 1),
+    (lambda topo: _bump(topo.reverse, "cells_in"),
      "cell conservation"),
-])
+]
+# connection 0; the large bumps outlast any arrival at the final instant
+CONNECTION_CORRUPTIONS = [
+    (lambda topo: _bump(topo.clients[0], "rcv_nxt", 10**9),
+     "client rcv_nxt <= server snd_nxt <= server app_bytes"),
+    (lambda topo: _bump(topo.servers[0], "app_bytes", -10**9),
+     "client rcv_nxt <= server snd_nxt <= server app_bytes"),
+    (lambda topo: _bump(topo.servers[0], "rcv_nxt", 10**9),
+     "server rcv_nxt <= client snd_nxt <= client app_bytes"),
+    (lambda topo: _bump(topo.clients[0], "protocol_errors"),
+     "protocol_errors == 0"),
+    (lambda topo: _bump(topo.servers[0], "window_drops"),
+     "window_drops == 0"),
+    (lambda topo: _bump(topo.client_apps[0], "bytes_received"),
+     "bytes_received == client rcv_nxt"),
+]
+
+
+@pytest.mark.parametrize("corrupt, invariant",
+                         PORT_CORRUPTIONS + CONNECTION_CORRUPTIONS)
 def test_broken_run_end_invariant_names_itself_in_the_row(monkeypatch, corrupt,
                                                           invariant):
     build = Topology.__init__
@@ -144,12 +168,14 @@ def test_broken_run_end_invariant_names_itself_in_the_row(monkeypatch, corrupt,
     def build_then_corrupt_at_end(topo, spec, **kwargs):
         build(topo, spec, **kwargs)
         end = seconds(spec.scenario.duration_s)
-        topo.sim.schedule(end, lambda _: corrupt(topo.reverse))
+        topo.sim.schedule(end, lambda _: corrupt(topo))
 
     monkeypatch.setattr(netsim.Topology, "__init__", build_then_corrupt_at_end)
     res = run_cell_safe(RunSpec(tiny_scenario(), "epd", "reno", "1"))
+    where = ("reverse port" if (corrupt, invariant) in PORT_CORRUPTIONS
+             else "connection 0")
     assert res.status.startswith(
-        f"error: RuntimeError: invariant {invariant} violated on reverse port")
+        f"error: RuntimeError: invariant {invariant} violated on {where}")
 
 
 def test_run_grid_frees_every_topology_without_the_cycle_collector():
@@ -202,6 +228,25 @@ def test_results_csv_layout_and_determinism():
     # floats carry fixed precision so files are reproducible byte for byte
     assert first[CSV_COLUMNS.index("efficiency")].count(".") == 1
     assert len(first[CSV_COLUMNS.index("efficiency")].split(".")[1]) == 6
+
+
+# SHA-256 of the results CSV of two tiny grids (2 connections, 1 s, seed 3).
+# The wan grid sees drops, timeouts and fast recovery.  Refactors keep these
+# digests; a change that alters results on purpose updates them and says why.
+RESULTS_DIGESTS = {
+    "wan": "7603eefb7a5206404698204a732089ba7fb512738b65a1db8b7962b8860f92c6",
+    "meo": "ecd7e1ff4277cfa8b059d55432dfeba9dfa20ebb6f8ec3e4d6f2203c58a986a1",
+}
+
+
+@pytest.mark.parametrize("delay_class", sorted(RESULTS_DIGESTS))
+def test_tiny_grid_results_are_pinned_byte_for_byte(delay_class):
+    sc = build_scenario(delay_class, seed=3, scale=0.1, connections=2,
+                        duration_s=1.0)
+    out = io.StringIO()
+    write_results(run_grid(sc), out)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == RESULTS_DIGESTS[delay_class]
 
 
 def test_delay_class_constants_cover_all_orbits():

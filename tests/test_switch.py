@@ -8,7 +8,7 @@ from oracles import EventDrivenPort
 from ubrsim.aal5 import Cell, Reassembler, Segment, segment_to_cells
 from ubrsim.kernel import Simulator
 from ubrsim.switchport import (DROP_FRAME_START, DROP_TAIL_OVERFLOW, EPD, SD,
-                               EgressLink, IngressLink, PolicyPort,
+                               Z, EgressLink, IngressLink, PolicyPort,
                                cell_time_ns, sd_over_fair_share)
 
 
@@ -72,7 +72,7 @@ def test_sd_drop_requires_both_conditions():
     assert port.frames_discarded == 1
     t, vc, verdict, x, x_i, n_a = port.drop_log[0]
     assert (vc, verdict, x, x_i, n_a) == (3, DROP_FRAME_START, 900, 200, 4)
-    assert sd_over_fair_share(x_i, x, n_a, port.z)
+    assert sd_over_fair_share(x_i, x, n_a, Z)
     # VC2 holds 150 <= 180: admitted despite occupancy above threshold
     feed_frame(port, 2, 10)
     assert port.frames_discarded == 1
@@ -90,7 +90,7 @@ def test_sd_drop_log_audit_matches_shared_predicate():
     for _, vc, verdict, x, x_i, n_a in port.drop_log:
         if verdict == DROP_FRAME_START:
             assert x > port.threshold
-            assert sd_over_fair_share(x_i, x, n_a, port.z)
+            assert sd_over_fair_share(x_i, x, n_a, Z)
 
 
 def test_tail_overflow_discards_rest_of_frame():

@@ -204,10 +204,11 @@ def test_sack_blocks_on_dupacks_name_received_ranges():
 def test_timeout_backoff_doubles_and_caps():
     sim, a, b, wire = make_pair(VANILLA)
     wire.drop_data = lambda seg, k: True        # black hole
-    times = []
-    a.trace = lambda ev: times.append(ev[0]) if ev[1] == "timeout" else None
     a.write(MSS)
     sim.run_until(300 * NS_PER_SEC)
+    # every transmission after the first is one timeout's retransmission
+    times = [t for t, _ in wire.data_sent[1:]]
+    assert len(times) == a.timeouts
     deltas = [(t2 - t1) / NS_PER_SEC for t1, t2 in zip(times, times[1:])]
     assert times[0] == 3 * NS_PER_SEC           # initial timer
     assert deltas[:6] == [6.0, 12.0, 24.0, 48.0, 64.0, 64.0]

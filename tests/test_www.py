@@ -76,8 +76,8 @@ def test_client_batches_follow_the_schedule():
     sim = Simulator(seed=3)
     tcp = FakeTcp(sim)
     p = TrafficParams()
-    app = ClientApp(sim, tcp, p, sim.stream("request-count:0"),
-                    sim.stream("inter-request-gap:0"), seconds(30.5))
+    ClientApp(sim, tcp, p, sim.stream("request-count:0"),
+              sim.stream("inter-request-gap:0"), seconds(30.5))
     sim.run_until(seconds(40))
     assert tcp.writes, "no requests issued"
     assert all(n == 128 for _, n in tcp.writes)
@@ -91,7 +91,6 @@ def test_client_batches_follow_the_schedule():
     for base in batch_starts:
         cnt = sum(1 for t, _ in tcp.writes if base <= t < base + seconds(10))
         assert BATCH_MIN <= cnt <= BATCH_MAX * 1  # one batch per period
-    assert app.requests_sent == len(tcp.writes)
 
 
 def test_no_requests_scheduled_past_duration():
@@ -108,15 +107,13 @@ def test_server_answers_each_complete_request():
     sim = Simulator(seed=2)
     tcp = FakeTcp(sim)
     p = TrafficParams()
-    srv = ServerApp(tcp, p, sim.stream("file-size:0"))
+    ServerApp(tcp, p, sim.stream("file-size:0"))
     tcp.app_recv(64)
     assert tcp.writes == []                 # half a request: no response yet
     tcp.app_recv(64)
     assert len(tcp.writes) == 1
     tcp.app_recv(128 * 3)
     assert len(tcp.writes) == 4
-    assert srv.responses_sent == 4
-    assert srv.response_bytes == sum(n for _, n in tcp.writes)
 
 
 def test_client_counts_received_bytes():
@@ -147,3 +144,9 @@ def test_traffic_params_validation():
         TrafficParams(class_bases=(100, 1000), class_freqs=(1.0,))
     with pytest.raises(ValueError):
         TrafficParams(class_freqs=(0.5, 0.28, 0.40, 0.112, 0.008))
+    # a zero period would reschedule the batch at t=0 forever
+    with pytest.raises(ValueError, match="batch_period_s must be positive"):
+        TrafficParams(batch_period_s=0)
+    for lo, hi in ((0.5, 0.5), (0.5, 0.1), (-0.1, 0.5)):
+        with pytest.raises(ValueError, match="gap_max_s must exceed gap_min_s"):
+            TrafficParams(gap_min_s=lo, gap_max_s=hi)
