@@ -96,6 +96,7 @@ def _cmd_run(args) -> int:
     for r in failed:
         print(f"cell {r.drop_policy}/{r.tcp_flavor}/{r.buffer_rtt}: {r.status}",
               file=sys.stderr)
+        print(r.traceback, end="", file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -40,14 +40,15 @@ def _float_list(text: str) -> tuple:
     return tuple(float(part.strip()) for part in text.split(","))
 
 
-# key -> (converter, range check, requirement shown in errors)
+# key -> (converter, range check, requirement shown in errors); the traffic
+# keys' ranges are TrafficParams' rules, reported after the file is parsed
 SCHEMA = {
     "scale": (float, lambda v: 0 < v <= 1, "a number in (0, 1]"),
     "connections": (int, lambda v: v >= 1, "an integer >= 1"),
     "duration_s": (float, lambda v: v > 0, "a positive number"),
     "seed": (int, lambda v: v >= 0, "a nonnegative integer"),
-    "batch_period_s": (float, lambda v: v > 0, "a positive number"),
-    "gap_min_s": (float, lambda v: v >= 0, "a nonnegative number"),
+    "batch_period_s": (float, lambda v: True, "a number"),
+    "gap_min_s": (float, lambda v: True, "a number"),
     "gap_max_s": (float, lambda v: v > 0, "a positive number"),
     "request_bytes": (int, lambda v: v >= 1, "an integer >= 1"),
     "class_bases": (_int_list, lambda v: len(v) > 0 and all(b > 0 for b in v),

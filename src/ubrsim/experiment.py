@@ -13,6 +13,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
+from traceback import format_exc
 
 from .netsim import CSV_COLUMNS, RunResult, run_cell
 from .scenarios import Scenario, grid
@@ -36,7 +37,8 @@ def run_cell_safe(spec, log_drops: bool = False) -> RunResult:
             offered_bps=math.nan, cells_in=0, cells_out=0, cells_dropped=0,
             rev_cells_dropped=0, frames_corrupt=0, timeouts=0,
             fast_recoveries=0, rexmit_segs=0, events=0,
-            status=f"error: {type(exc).__name__}: {exc}")
+            status=f"error: {type(exc).__name__}: {exc}",
+            traceback=format_exc())
 
 
 def run_grid(scenario: Scenario, workers: int = 1, log_drops: bool = False,

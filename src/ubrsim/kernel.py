@@ -1,8 +1,17 @@
 """Deterministic discrete-event core: virtual clock, event queue, named RNG streams.
 
 Time is an integer count of simulated nanoseconds so that event ordering is
-exact and runs are bit-reproducible across platforms.  Events fire in strict
-(fire_at, sequence) order, where sequence is the schedule order.
+exact and runs are bit-reproducible across platforms.
+
+Ordering contract: every event has a key (fire_at, sequence), where sequence
+is the schedule order, and events fire in strictly increasing key order.  A
+train from `schedule_train(at, step, fn, items)` takes len(items) consecutive
+sequence numbers at once; member i fires fn(items[i]) with key
+(at + i*step, base + i).  The train occupies one heap entry, keyed by its
+next member, and fires members inline for as long as the next one is still
+the smallest key pending and not past the run's end.  Each member counts as
+one event, so the firing order and `events_processed` are exactly those of
+len(items) separate `schedule` calls.
 """
 
 from __future__ import annotations
@@ -131,15 +140,12 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._now = 0
+        self.now = 0  # read-only outside the kernel
         self._seq = 0
         self._heap: list = []
         self._streams: dict[str, RngStream] = {}
+        self._end = 0  # end of the current run_until
         self.events_processed = 0
-
-    @property
-    def now(self) -> int:
-        return self._now
 
     def stream(self, stream_id: str) -> RngStream:
         """Named RNG stream derived from this simulator's seed."""
@@ -151,10 +157,48 @@ class Simulator:
 
     def schedule(self, at: int, fn, arg=None) -> None:
         """Schedule fn(arg) at virtual time `at` (ns).  Past times are fatal."""
-        if at < self._now:
-            raise SchedulingError(f"schedule at t={at} ns before now={self._now} ns")
+        if at < self.now:
+            raise SchedulingError(f"schedule at t={at} ns before now={self.now} ns")
         heappush(self._heap, (at, self._seq, fn, arg))
         self._seq += 1
+
+    def schedule_train(self, at: int, step: int, fn, items) -> None:
+        """Schedule fn(items[i]) at `at` + i*`step` for each i, as one heap entry.
+
+        Same order and event count as scheduling each member on its own.
+        """
+        if at < self.now:
+            raise SchedulingError(f"schedule at t={at} ns before now={self.now} ns")
+        if step < 0:
+            raise SchedulingError(f"train step {step} ns is negative")
+        if items:
+            heappush(self._heap, (at, self._seq, self._fire_train,
+                                  (fn, items, 0, step, self._seq)))
+            self._seq += len(items)
+
+    def _fire_train(self, train) -> None:
+        # fire member i (now is its time), then each next member while it is
+        # the smallest pending key and not past end; else push it back
+        fn, items, i, step, seq = train
+        heap = self._heap
+        end = self._end
+        t = self.now
+        last = len(items) - 1
+        inline = 0
+        while True:
+            fn(items[i])
+            if i == last:
+                break
+            i += 1
+            t += step
+            seq += 1
+            # sequence numbers are unique, so the compare never reaches fn
+            if t > end or (heap and heap[0] < (t, seq)):
+                heappush(heap, (t, seq, self._fire_train, (fn, items, i, step, seq)))
+                break
+            self.now = t
+            inline += 1
+        self.events_processed += inline
 
     def clear(self) -> None:
         """Drop every pending event."""
@@ -163,15 +207,16 @@ class Simulator:
     def run_until(self, end: int) -> None:
         """Process every event with fire_at <= end; clock finishes at `end`."""
         heap = self._heap
+        self._end = end
         n = 0
         while heap:
             t, _, fn, arg = heap[0]
             if t > end:
                 break
             heappop(heap)
-            self._now = t
+            self.now = t
             fn(arg)
             n += 1
         self.events_processed += n
-        if end > self._now:
-            self._now = end
+        if end > self.now:
+            self.now = end

@@ -50,6 +50,7 @@ class RunResult:
     goodputs: list = field(default_factory=list, repr=False)
     demands: list = field(default_factory=list, repr=False)
     drop_logs: dict | None = field(default=None, repr=False)
+    traceback: str = field(default="", repr=False)  # of a crashed cell
 
 
 CSV_COLUMNS = ("delay_class", "drop_policy", "tcp_flavor", "buffer_rtt",

@@ -2,9 +2,11 @@
 
 Every cell arrival at an inter-switch output port is an event, and the drop
 policy is evaluated at frame boundaries against the live buffer state.  The
-ports and the lossless access links are all exact closed-form FIFO rate
-servers: a cell departs at max(arrival, previous departure) + 424/rate, with
-no per-cell transmission event.  A port retires the cells that have left
+cells of one frame arrive as one kernel train: they share one heap entry and
+still count one event each.  The ports and the lossless access links are
+all exact closed-form FIFO rate servers: a cell departs at
+max(arrival, previous departure) + 424/rate, with no per-cell transmission
+event.  A port retires the cells that have left
 before it judges an arrival; a departure at t retires before an arrival at t.
 """
 
@@ -163,7 +165,8 @@ class IngressLink:
 
     Exact FIFO rate server: cells offered at time t depart at
     max(t, previous departure) + tx and reach the switch one propagation
-    delay later, where each becomes a port arrival event.
+    delay later, where each becomes a port arrival event.  A frame's cells
+    are evenly spaced, so they go to the kernel as one train.
     """
 
     __slots__ = ("sim", "port", "tx_ns", "prop_ns", "_free_at", "cells_in")
@@ -178,14 +181,11 @@ class IngressLink:
 
     def offer_frame(self, cells: list[Cell]) -> None:
         sim = self.sim
-        dep = max(sim.now, self._free_at)
+        now = sim.now
+        start = now if now > self._free_at else self._free_at
         tx = self.tx_ns
-        arrival = self.prop_ns
-        on_cell = self.port.on_cell
-        for cell in cells:
-            dep += tx
-            sim.schedule(dep + arrival, on_cell, cell)
-        self._free_at = dep
+        sim.schedule_train(start + tx + self.prop_ns, tx, self.port.on_cell, cells)
+        self._free_at = start + tx * len(cells)
         self.cells_in += len(cells)
 
 
@@ -216,7 +216,10 @@ class EgressLink:
 
     def offer(self, cell: Cell, port_departure_ns: int) -> None:
         self.cells_in += 1
-        dep = max(port_departure_ns + self.lead_ns, self._free_at) + self.tx_ns
+        dep = port_departure_ns + self.lead_ns
+        if dep < self._free_at:
+            dep = self._free_at
+        dep += self.tx_ns
         self._free_at = dep
         if not cell.eom:
             self.reasm.body()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ubrsim import experiment
 from ubrsim.cli import main
 
 
@@ -76,6 +77,28 @@ def test_run_missing_config_file(tmp_path, capsys):
                "--config", str(tmp_path / "nope.cfg"), "--quiet"])
     assert rc == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_run_prints_each_failed_cell_traceback(tmp_path, capsys, monkeypatch):
+    real_run_cell = experiment.run_cell
+
+    def run_cell_failing_reno(spec, log_drops=False):
+        if spec.tcp_flavor == "reno":
+            raise RuntimeError("reno broke")
+        return real_run_cell(spec, log_drops=log_drops)
+
+    monkeypatch.setattr(experiment, "run_cell", run_cell_failing_reno)
+    rc, _ = run_grid_to(tmp_path, "res.csv")
+    assert rc == 1
+    err = capsys.readouterr().err
+    blocks = err.split("cell ")[1:]
+    assert len(blocks) == 6                     # 2 policies x 3 buffers
+    for block in blocks:
+        head, *trace = block.splitlines()
+        assert "/reno/" in head and head.endswith("error: RuntimeError: reno broke")
+        assert trace[0] == "Traceback (most recent call last):"
+        assert "in run_cell_failing_reno" in block
+        assert trace[-1] == "RuntimeError: reno broke"
 
 
 def test_analyze_results_round_trip(tmp_path, capsys):

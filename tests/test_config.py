@@ -72,6 +72,18 @@ def test_gap_ordering_cross_check():
     assert cfg["gap_min_s"] == 0.1
 
 
+def test_traffic_ranges_fail_at_their_line_with_traffic_params_message():
+    with pytest.raises(ConfigError, match=r"config:2: batch_period_s must be "
+                                          r"positive, got 0\.0$"):
+        parse_config_text("scale = 0.1\nbatch_period_s = 0\n")
+    with pytest.raises(ConfigError, match=r"config:3: gap_max_s must exceed "
+                                          r"gap_min_s and gap_min_s must be "
+                                          r"nonnegative, got \[-1\.0, 0\.5\)$"):
+        parse_config_text("scale = 0.1\nconnections = 4\ngap_min_s = -1\n")
+    with pytest.raises(ConfigError, match="config:1: batch_period_s must be a number"):
+        parse_config_text("batch_period_s = soon\n")
+
+
 def test_class_lists_must_come_together_and_match():
     with pytest.raises(ConfigError, match="must be given together"):
         parse_config_text("class_bases = 100, 1000\n")

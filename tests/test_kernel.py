@@ -1,5 +1,6 @@
 """Event kernel: ordering, error handling, RNG stream stability."""
 
+import itertools
 import math
 
 import pytest
@@ -73,6 +74,82 @@ def test_schedule_at_now_is_allowed():
     sim.schedule(10, lambda _: sim.schedule(sim.now, fired.append, "x"), None)
     sim.run_until(20)
     assert fired == ["x"]
+
+
+# an event (n == 0) or a train of n members: (at, step, n)
+EVENTS = st.tuples(st.integers(0, 40), st.integers(0, 4), st.integers(0, 6))
+# what the j-th event to fire schedules: at its own time or at its train's
+# next member time, one event or a train
+SPAWNS = st.tuples(st.sampled_from(("now", "next")), st.integers(0, 4),
+                   st.integers(0, 6))
+
+
+def _drive(use_trains, events, spawns, ends):
+    """Fire every event, log (now, item) and snapshot the log at each end."""
+    sim = Simulator()
+    fired = []
+    op_ids = itertools.count()
+
+    def add(at, step, n):
+        k = next(op_ids)
+        items = [(k, i, step) for i in range(max(n, 1))]
+        if n == 0:
+            sim.schedule(at, fire, items[0])
+        elif use_trains:
+            sim.schedule_train(at, step, fire, items)
+        else:  # the oracle: every member scheduled on its own
+            for i, item in enumerate(items):
+                sim.schedule(at + i * step, fire, item)
+
+    def fire(item):
+        j = len(fired)
+        fired.append((sim.now, item))
+        if j < len(spawns):
+            when, step, n = spawns[j]
+            add(sim.now if when == "now" else sim.now + item[2], step, n)
+
+    for at, step, n in events:
+        add(at, step, n)
+    snapshots = []
+    for end in ends:
+        sim.run_until(end)
+        snapshots.append((list(fired), sim.events_processed, sim.now))
+    return snapshots
+
+
+@given(st.lists(EVENTS, min_size=1, max_size=12), st.lists(SPAWNS, max_size=20),
+       st.lists(st.integers(0, 90), min_size=1, max_size=4).map(sorted))
+@settings(max_examples=300, deadline=None)
+def test_trains_fire_like_one_schedule_per_member(events, spawns, ends):
+    got = _drive(True, events, spawns, ends)
+    assert got == _drive(False, events, spawns, ends)
+    for fired, processed, now in got:
+        assert processed == len(fired)
+        assert [t for t, _ in fired] == sorted(t for t, _ in fired)
+
+
+def test_train_cut_by_run_end_resumes_at_its_next_member():
+    sim = Simulator()
+    fired = []
+    sim.schedule_train(10, 5, lambda x: fired.append((sim.now, x)), "abcd")
+    sim.schedule(15, lambda x: fired.append((sim.now, x)), "z")
+    sim.run_until(20)
+    assert fired == [(10, "a"), (15, "b"), (15, "z"), (20, "c")]
+    assert sim.events_processed == 4
+    sim.run_until(100)
+    assert fired[-1] == (25, "d") and sim.events_processed == 5
+
+
+def test_schedule_train_in_the_past_raises():
+    sim = Simulator()
+    sim.run_until(10)
+    with pytest.raises(SchedulingError):
+        sim.schedule_train(9, 1, lambda _: None, [1, 2])
+    with pytest.raises(SchedulingError):
+        sim.schedule_train(10, -1, lambda _: None, [1, 2])
+    sim.schedule_train(10, 0, lambda _: None, [])  # an empty train is no event
+    sim.run_until(20)
+    assert sim.events_processed == 0
 
 
 def test_seconds_conversion():

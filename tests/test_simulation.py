@@ -128,6 +128,29 @@ def test_run_cell_safe_turns_crash_into_error_row():
     assert res.tcp_flavor == "bogus"
 
 
+def test_crashed_cell_keeps_a_traceback_out_of_the_csv(monkeypatch):
+    build = Topology.__init__
+
+    def explode_mid_run(_):
+        raise RuntimeError("boom")
+
+    def build_then_explode(topo, spec, **kwargs):
+        build(topo, spec, **kwargs)
+        topo.sim.schedule(seconds(0.1), explode_mid_run)
+
+    monkeypatch.setattr(netsim.Topology, "__init__", build_then_explode)
+    res = run_cell_safe(RunSpec(tiny_scenario(), "epd", "reno", "1"))
+    assert res.status == "error: RuntimeError: boom"
+    lines = res.traceback.splitlines()
+    frames = [line for line in lines if line.lstrip().startswith("File ")]
+    assert lines[0] == "Traceback (most recent call last):"
+    assert frames[-1].endswith("in explode_mid_run")
+    assert any(f.endswith("in run_until") for f in frames)
+    assert lines[-1] == "RuntimeError: boom"
+    assert "traceback" not in CSV_COLUMNS
+    assert not any("Traceback" in str(v) for v in format_row(res))
+
+
 def _bump(obj, attr, by=1):
     setattr(obj, attr, getattr(obj, attr) + by)
 
