@@ -80,8 +80,9 @@ class Reassembler:
         self.frames_corrupt = 0
         self.cells_wasted = 0
 
-    def body(self) -> None:
-        self.count += 1
+    def body(self, n: int) -> None:
+        """Tally n body cells of the current frame."""
+        self.count += n
 
     def eom(self, seg: Segment) -> bool:
         """Close the frame at its eom cell; True if it arrived intact."""

@@ -11,6 +11,7 @@ import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from functools import partial
 from traceback import format_exc
@@ -27,18 +28,30 @@ def run_cell_safe(spec, log_drops: bool = False) -> RunResult:
     try:
         return run_cell(spec, log_drops=log_drops)
     except Exception as exc:  # report the cell, keep the grid going
-        sc = spec.scenario
-        return RunResult(
-            delay_class=sc.delay_class, drop_policy=spec.drop_policy,
-            tcp_flavor=spec.tcp_flavor, buffer_rtt=spec.buffer_rtt,
-            buffer_cells=spec.buffer_cells, seed=sc.seed, scale=sc.scale,
-            connections=sc.connections, duration_s=sc.duration_s,
-            efficiency=math.nan, fairness=math.nan, goodput_bps=math.nan,
-            offered_bps=math.nan, cells_in=0, cells_out=0, cells_dropped=0,
-            rev_cells_dropped=0, frames_corrupt=0, timeouts=0,
-            fast_recoveries=0, rexmit_segs=0, events=0,
-            status=f"error: {type(exc).__name__}: {exc}",
-            traceback=format_exc())
+        return _error_row(spec, exc, format_exc())
+
+
+def _error_row(spec, exc: BaseException, traceback: str) -> RunResult:
+    """The row of a cell that failed with `exc`."""
+    sc = spec.scenario
+    return RunResult(
+        delay_class=sc.delay_class, drop_policy=spec.drop_policy,
+        tcp_flavor=spec.tcp_flavor, buffer_rtt=spec.buffer_rtt,
+        buffer_cells=spec.buffer_cells, seed=sc.seed, scale=sc.scale,
+        connections=sc.connections, duration_s=sc.duration_s,
+        efficiency=math.nan, fairness=math.nan, goodput_bps=math.nan,
+        offered_bps=math.nan, cells_in=0, cells_out=0, cells_dropped=0,
+        rev_cells_dropped=0, frames_corrupt=0, timeouts=0,
+        fast_recoveries=0, rexmit_segs=0, events=0,
+        status=f"error: {type(exc).__name__}: {exc}", traceback=traceback)
+
+
+def _pool_result(future, spec) -> RunResult:
+    # a worker that dies takes its cell and every pending one with it
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return _error_row(spec, exc, format_exc())
 
 
 def run_grid(scenario: Scenario, workers: int = 1, log_drops: bool = False,
@@ -49,7 +62,11 @@ def run_grid(scenario: Scenario, workers: int = 1, log_drops: bool = False,
     results = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
-        rows = pool.map(job, specs) if pool else map(job, specs)
+        if pool:
+            futures = [pool.submit(job, spec) for spec in specs]
+            rows = map(_pool_result, futures, specs)
+        else:
+            rows = map(job, specs)
         for i, res in enumerate(rows, start=1):
             results.append(res)
             if progress:

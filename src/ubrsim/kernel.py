@@ -6,12 +6,15 @@ exact and runs are bit-reproducible across platforms.
 Ordering contract: every event has a key (fire_at, sequence), where sequence
 is the schedule order, and events fire in strictly increasing key order.  A
 train from `schedule_train(at, step, fn, items)` takes len(items) consecutive
-sequence numbers at once; member i fires fn(items[i]) with key
-(at + i*step, base + i).  The train occupies one heap entry, keyed by its
-next member, and fires members inline for as long as the next one is still
-the smallest key pending and not past the run's end.  Each member counts as
-one event, so the firing order and `events_processed` are exactly those of
-len(items) separate `schedule` calls.
+sequence numbers at once; member i has key (at + i*step, base + i).  The
+train occupies one heap entry, keyed by its next member.  When that entry
+fires, the members i..j-1 that are due, i.e. whose keys are below every other
+pending key and whose times are not past the run's end, fire as one run: one
+call fn(items, i, j, step) with `now` at member j-1's time.  Each member
+counts as one event, so the firing order and `events_processed` are exactly
+those of len(items) separate `schedule` calls, provided that only the last
+member of a run schedules anything.  Since `now` is the run's last time,
+`schedule` refuses any event an earlier member would put inside the run.
 """
 
 from __future__ import annotations
@@ -163,9 +166,10 @@ class Simulator:
         self._seq += 1
 
     def schedule_train(self, at: int, step: int, fn, items) -> None:
-        """Schedule fn(items[i]) at `at` + i*`step` for each i, as one heap entry.
+        """Schedule members items[i] at `at` + i*`step` as one heap entry.
 
-        Same order and event count as scheduling each member on its own.
+        Due members fire in runs, as fn(items, i, j, step) for items[i:j];
+        same order and event count as scheduling each member on its own.
         """
         if at < self.now:
             raise SchedulingError(f"schedule at t={at} ns before now={self.now} ns")
@@ -177,28 +181,34 @@ class Simulator:
             self._seq += len(items)
 
     def _fire_train(self, train) -> None:
-        # fire member i (now is its time), then each next member while it is
-        # the smallest pending key and not past end; else push it back
+        # member i is due (now is its time); members i..j-1 are due while
+        # their key is below the heap top's and their time is not past end.
+        # No other key falls between two members' sequence numbers, so with
+        # a zero step every member is due.
         fn, items, i, step, seq = train
         heap = self._heap
-        end = self._end
         t = self.now
-        last = len(items) - 1
-        inline = 0
-        while True:
-            fn(items[i])
-            if i == last:
-                break
-            i += 1
-            t += step
-            seq += 1
-            # sequence numbers are unique, so the compare never reaches fn
-            if t > end or (heap and heap[0] < (t, seq)):
-                heappush(heap, (t, seq, self._fire_train, (fn, items, i, step, seq)))
-                break
-            self.now = t
-            inline += 1
-        self.events_processed += inline
+        n = len(items)
+        j = n
+        if step:
+            j = i + 1 + (self._end - t) // step
+            if heap:
+                # member i+d is the last one not after the top's time; it is
+                # due if it is before it or ties it with a lower sequence
+                d, r = divmod(heap[0][0] - t, step)
+                below = i + d + (r > 0 or seq + d < heap[0][1])
+                if below < j:
+                    j = below
+            if j > n:
+                j = n
+        last = t + (j - 1 - i) * step
+        self.now = last
+        fn(items, i, j, step)
+        self.events_processed += j - i - 1
+        if j < n:
+            seq += j - i
+            heappush(heap, (last + step, seq, self._fire_train,
+                            (fn, items, j, step, seq)))
 
     def clear(self) -> None:
         """Drop every pending event."""

@@ -16,7 +16,7 @@ from .aal5 import Cell, Reassembler, Segment, segment_to_cells
 from .kernel import Simulator, seconds
 from .metrics import efficiency, fairness
 from .scenarios import RunSpec
-from .switchport import EgressLink, IngressLink, PolicyPort
+from .switchport import EgressLink, IngressLink, PolicyPort, cell_time_ns
 from .tcp import TcpEndpoint, TcpParams
 from .www import ClientApp, ServerApp, TrafficParams
 
@@ -75,6 +75,12 @@ class Topology:
 
     def __init__(self, spec: RunSpec, log_drops: bool = False):
         sc = spec.scenario
+        # a port run's cells leave back to back; the port's blocks and the
+        # egress links' pure delay need an access link that keeps up
+        if cell_time_ns(sc.access_bps) > cell_time_ns(sc.bottleneck_bps):
+            raise ValueError(
+                f"access link rate {sc.access_bps:g} bps is slower than the "
+                f"bottleneck rate {sc.bottleneck_bps:g} bps")
         self.spec = spec
         self.sim = Simulator(seed=sc.seed)
         n = sc.connections

@@ -1,13 +1,17 @@
 """UBR+ bottleneck port (EPD / Selective Drop) and access-link conveyors.
 
-Every cell arrival at an inter-switch output port is an event, and the drop
-policy is evaluated at frame boundaries against the live buffer state.  The
-cells of one frame arrive as one kernel train: they share one heap entry and
-still count one event each.  The ports and the lossless access links are
-all exact closed-form FIFO rate servers: a cell departs at
-max(arrival, previous departure) + 424/rate, with no per-cell transmission
-event.  A port retires the cells that have left
-before it judges an arrival; a departure at t retires before an arrival at t.
+Every cell arrival at an inter-switch output port counts as one event, and
+the drop policy is evaluated at frame boundaries against the live buffer
+state.  The cells of one frame reach the port as one kernel train, and the
+port takes each run of due cells in one call: it judges the policy at the
+frame's first cell, admits a run that cannot fill the buffer as one block,
+and goes cell by cell only when the buffer limit is within the run's reach.
+The ports and the lossless access links are all exact closed-form FIFO rate
+servers: a cell departs at max(arrival, previous departure) + 424/rate, with
+no per-cell transmission event.  A port retires the cells that have left
+before it judges an arrival; a departure at t retires before an arrival at
+t.  The closed forms for a run hold while the access links are at least as
+fast as the bottleneck, which the topology checks.
 """
 
 from __future__ import annotations
@@ -56,9 +60,12 @@ class PolicyPort:
     buffered.  Mid-frame arrivals that meet a full buffer are tail-dropped
     and the rest of the frame, eom included, is discarded with them.
 
-    The buffer holds (departure_ns, vc) per cell.  An admitted cell goes to
-    its VC's egress link at once, with its departure time.  `_complete(now)`
-    retires departed cells from the counters; every arrival calls it first.
+    Cells arrive in runs of consecutive cells of one frame, `step` ns apart,
+    and step never exceeds the port's cell time.  The cells a run admits
+    therefore depart back to back, so the buffer is a deque of blocks
+    [first_departure_ns, count, vc] holding `occupancy` cells, and a run's
+    admitted cells go to its VC's egress link in one call.  `_complete(now)`
+    retires departed cells from the counters; every decision calls it first.
     """
 
     def __init__(self, sim: Simulator, name: str, rate_bps: float, capacity: int,
@@ -74,10 +81,12 @@ class PolicyPort:
         self.threshold = math.floor(R * capacity + 1e-9)  # R*K in whole cells
         self.tx_ns = cell_time_ns(rate_bps)
         self.queue: deque = deque()
+        self.occupancy = 0  # cells in the buffer's blocks
         self._free_at = 0  # departure time of the last admitted cell
         self.x_per_vc = [0] * num_vcs
         self.n_active = 0
         self._state = [_IDLE] * num_vcs
+        self.tail_drops = [0] * num_vcs  # DROP_TAIL_OVERFLOW verdicts per VC
         self.egress = [None] * num_vcs  # set by the topology builder
         self.cells_in = 0
         self.cells_out = 0
@@ -85,78 +94,131 @@ class PolicyPort:
         self.frames_discarded = 0
         self.drop_log: list | None = [] if log_drops else None
 
-    @property
-    def occupancy(self) -> int:
-        return len(self.queue)
-
-    def on_cell(self, cell: Cell) -> None:
-        """Arrival event: policy decision at frame starts, then enqueue/drop."""
-        now = self.sim.now
+    def on_cell(self, items: list[Cell], i: int, j: int, step: int) -> None:
+        """Arrival of the run items[i:j], its last cell at now: the policy
+        at a frame's first cell, then admission, as one block when the run
+        cannot fill the buffer."""
+        m = j - i
+        t = self.sim.now - (m - 1) * step  # arrival of items[i]
         q = self.queue
-        if q and q[0][0] <= now:
-            self._complete(now)
-        vc = cell.vc
+        if q and q[0][0] <= t:
+            self._complete(t)
+        vc = items[i].vc
+        eom = items[j - 1]
+        if not eom.eom:
+            eom = None
+        self.cells_in += m
         state = self._state[vc]
-        self.cells_in += 1
         if state == _DISCARDING:
-            self.cells_dropped += 1
-            if cell.eom:
+            self.cells_dropped += m
+            if eom:
                 self._state[vc] = _IDLE
             return
-        x = len(q)
+        x = self.occupancy
         # first cell of a frame: the only place the policy may refuse it
         if state == _IDLE and x > self.threshold and (
                 self.policy == EPD
                 or sd_over_fair_share(self.x_per_vc[vc], x, self.n_active, Z)):
-            self._drop_frame(cell, DROP_FRAME_START, x)
+            self._drop_frame(vc, DROP_FRAME_START, t, x, m, eom)
             return
-        if x >= self.capacity:
-            self._drop_frame(cell, DROP_TAIL_OVERFLOW, x)
+        if x + m > self.capacity:
+            self._admit_until_full(vc, t, m, step, eom)
             return
-        self._state[vc] = _IDLE if cell.eom else _ADMITTING
-        dep = (now if now > self._free_at else self._free_at) + self.tx_ns
-        self._free_at = dep
-        q.append((dep, vc))
+        tx = self.tx_ns
+        dep = (t if t > self._free_at else self._free_at) + tx
+        last = self._free_at = dep + (m - 1) * tx
+        q.append([dep, m, vc])
+        self.occupancy = x + m
         xi = self.x_per_vc[vc]
         if xi == 0:
             self.n_active += 1
-        self.x_per_vc[vc] = xi + 1
-        self.egress[vc].offer(cell, dep)
+        self.x_per_vc[vc] = xi + m
+        self._state[vc] = _IDLE if eom else _ADMITTING
+        self.egress[vc].offer(eom, m, last)
 
-    def _drop_frame(self, cell: Cell, verdict: str, x: int) -> None:
-        vc = cell.vc
-        self.cells_dropped += 1
+    def _admit_until_full(self, vc: int, t: int, m: int, step: int, eom) -> None:
+        # cell by cell, so that a tail drop hits the exact cell that finds
+        # the buffer full; the rest of the run goes with it
+        q = self.queue
+        tx = self.tx_ns
+        x_per_vc = self.x_per_vc
+        last = self._free_at
+        for n in range(m):
+            tn = t + n * step
+            if q and q[0][0] <= tn:
+                self._complete(tn)
+            x = self.occupancy
+            if x >= self.capacity:
+                self.tail_drops[vc] += 1
+                self._drop_frame(vc, DROP_TAIL_OVERFLOW, tn, x, m - n, eom)
+                eom = None
+                break
+            last = self._free_at = (tn if tn > last else last) + tx
+            q.append([last, 1, vc])
+            self.occupancy = x + 1
+            if x_per_vc[vc] == 0:
+                self.n_active += 1
+            x_per_vc[vc] += 1
+        else:
+            n = m
+            self._state[vc] = _IDLE if eom else _ADMITTING
+        if n:
+            self.egress[vc].offer(eom, n, last)
+
+    def _drop_frame(self, vc: int, verdict: str, t: int, x: int, n: int,
+                    eom) -> None:
+        # the frame loses its cells from the one arriving at t onwards, n of
+        # them in this run
+        self.cells_dropped += n
         self.frames_discarded += 1
         if self.drop_log is not None:
             self.drop_log.append(
-                (self.sim.now, vc, verdict, x, self.x_per_vc[vc], self.n_active))
-        self._state[vc] = _IDLE if cell.eom else _DISCARDING
+                (t, vc, verdict, x, self.x_per_vc[vc], self.n_active))
+        self._state[vc] = _IDLE if eom else _DISCARDING
 
     def _complete(self, now: int) -> None:
         """Retire every buffered cell whose transmission ends by `now`."""
         q = self.queue
         x_per_vc = self.x_per_vc
-        n = len(q)
+        tx = self.tx_ns
+        out = 0
         while q and q[0][0] <= now:
-            vc = q.popleft()[1]
-            xi = x_per_vc[vc] - 1
+            block = q[0]
+            first, count, vc = block
+            k = (now - first) // tx + 1  # the block's cells gone by now
+            if k < count:
+                block[0] = first + k * tx
+                block[1] = count - k
+            else:
+                k = count
+                q.popleft()
+            xi = x_per_vc[vc] - k
             x_per_vc[vc] = xi
             if xi == 0:
                 self.n_active -= 1
-        self.cells_out += n - len(q)
+            out += k
+        self.occupancy -= out
+        self.cells_out += out
 
     def conservation_ok(self) -> bool:
         return self.cells_in == self.cells_out + self.cells_dropped + self.occupancy
 
     def broken_invariant(self) -> str | None:
         """Name of the first run-end invariant that fails, or None."""
-        x, held = self.x_per_vc, len(self.queue)
+        x, held = self.x_per_vc, self.occupancy
         checks = (
             ("cell conservation", self.conservation_ok()),
+            ("occupancy == cells in buffer blocks",
+             sum(block[1] for block in self.queue) == held),
             ("sum(x_per_vc) == occupancy", sum(x) == held),
             ("n_active == nonzero x_per_vc", self.n_active == len(x) - x.count(0)),
             ("egress cells_in == cells_out + occupancy",
-             sum(e.cells_in for e in self.egress) == self.cells_out + held))
+             sum(e.cells_in for e in self.egress) == self.cells_out + held),
+            # a tail drop cuts a frame's eom off, and the cells it admitted
+            # corrupt at most the next frame its VC's reassembler closes
+            ("frames_corrupt <= tail drops on each VC",
+             all(e.reasm.frames_corrupt <= d
+                 for e, d in zip(self.egress, self.tail_drops))))
         return next((name for name, ok in checks if not ok), None)
 
 
@@ -165,8 +227,9 @@ class IngressLink:
 
     Exact FIFO rate server: cells offered at time t depart at
     max(t, previous departure) + tx and reach the switch one propagation
-    delay later, where each becomes a port arrival event.  A frame's cells
-    are evenly spaced, so they go to the kernel as one train.
+    delay later, where each is a port arrival event.  A frame's cells are
+    evenly spaced, so they go to the kernel as one train, which hands them
+    to the port in runs.
     """
 
     __slots__ = ("sim", "port", "tx_ns", "prop_ns", "_free_at", "cells_in")
@@ -192,37 +255,35 @@ class IngressLink:
 class EgressLink:
     """Far-side path of one VC: bottleneck propagation, then its access link.
 
-    Receives each cell when the policy port admits it, with the time the
-    port finishes sending it.  Body cells are tallied into the reassembler
-    immediately (their delivery order within the frame is immaterial); the
-    frame verdict is computed at the eom cell, even one the port still holds,
-    and, when the frame is intact, delivery of the segment to the endpoint
-    is scheduled for the eom cell's arrival time.
+    Receives the cells a port run admits in one call, with the time the port
+    finishes sending the last of them.  They leave the port back to back, and
+    the access link is at least as fast as the bottleneck, so it never holds
+    a cell back: the last one leaves it tx after it arrives, exactly as if
+    each cell had been offered on its own.  Body cells are tallied into the
+    reassembler immediately (their delivery order within the frame is
+    immaterial); the frame verdict is computed at the eom cell, even one the
+    port still holds, and, when the frame is intact, delivery of the segment
+    to the endpoint is scheduled for the eom cell's arrival time.
     """
 
-    __slots__ = ("sim", "reasm", "deliver", "tx_ns", "lead_ns", "_free_at",
-                 "cells_in", "_access_prop_ns")
+    __slots__ = ("sim", "reasm", "deliver", "delay_ns", "cells_in")
 
     def __init__(self, sim: Simulator, rate_bps: float, bottleneck_prop_ns: int,
                  access_prop_ns: int, reassembler, deliver):
         self.sim = sim
         self.reasm = reassembler
         self.deliver = deliver  # deliver(segment) at the endpoint
-        self.tx_ns = cell_time_ns(rate_bps)
-        self.lead_ns = bottleneck_prop_ns
-        self._access_prop_ns = access_prop_ns
-        self._free_at = 0
+        # port departure to arrival at the endpoint
+        self.delay_ns = bottleneck_prop_ns + cell_time_ns(rate_bps) + access_prop_ns
         self.cells_in = 0
 
-    def offer(self, cell: Cell, port_departure_ns: int) -> None:
-        self.cells_in += 1
-        dep = port_departure_ns + self.lead_ns
-        if dep < self._free_at:
-            dep = self._free_at
-        dep += self.tx_ns
-        self._free_at = dep
-        if not cell.eom:
-            self.reasm.body()
-            return
-        if self.reasm.eom(cell.seg):
-            self.sim.schedule(dep + self._access_prop_ns, self.deliver, cell.seg)
+    def offer(self, eom: Cell | None, n: int, last_port_departure_ns: int) -> None:
+        """n cells of one frame; `eom` is its eom cell when it is the last."""
+        self.cells_in += n
+        if eom is None:
+            self.reasm.body(n)
+        else:
+            self.reasm.body(n - 1)
+            if self.reasm.eom(eom.seg):
+                self.sim.schedule(last_port_departure_ns + self.delay_ns,
+                                  self.deliver, eom.seg)

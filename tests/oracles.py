@@ -38,9 +38,10 @@ class EventDrivenPort:
     """Bottleneck port with one kernel event per cell transmission.
 
     The reference for `ubrsim.switchport.PolicyPort`: the same buffer, drop
-    policy and drop log, but the buffer is drained by a completion event per
-    cell, and each cell is handed to egress when its completion fires, with
-    that time as its departure.  Tests follow the fast port's tie rule by
+    policy and drop log, but arrivals come one cell at a time, the buffer is
+    drained by a completion event per cell, and each cell is handed to
+    egress as a run of one when its completion fires, with that time as its
+    departure.  Tests follow the fast port's tie rule by
     running the kernel up to an arrival's time before delivering it, so that
     completions at time t fire before an arrival at t.
     """
@@ -120,7 +121,7 @@ class EventDrivenPort:
         if self.x_per_vc[vc] == 0:
             self.n_active -= 1
         self.cells_out += 1
-        self.egress[vc].offer(cell, self.sim.now)
+        self.egress[vc].offer(cell if cell.eom else None, 1, self.sim.now)
         if self.occupancy:
             self.sim.schedule(self.sim.now + self.tx_ns, self._complete)
         else:

@@ -55,7 +55,7 @@ def _feed(reasm, cells):
     intact = []
     for c in cells:
         if not c.eom:
-            reasm.body()
+            reasm.body(1)
         elif reasm.eom(c.seg):
             intact.append(c.seg)
     return intact
@@ -100,6 +100,6 @@ def test_lost_eom_cell_corrupts_the_following_frame_too():
 def test_eom_verdict_return_value():
     reasm = Reassembler()
     seg = Segment(0, 1, 0, 40, None)
-    reasm.body()
+    reasm.body(1)
     assert reasm.eom(seg) is True
     assert reasm.eom(seg) is False       # missing body cell this time

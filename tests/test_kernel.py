@@ -78,8 +78,8 @@ def test_schedule_at_now_is_allowed():
 
 # an event (n == 0) or a train of n members: (at, step, n)
 EVENTS = st.tuples(st.integers(0, 40), st.integers(0, 4), st.integers(0, 6))
-# what the j-th event to fire schedules: at its own time or at its train's
-# next member time, one event or a train
+# what the j-th event to fire schedules if it is a single event or the last
+# member of its train: at its own time or one step later, one event or a train
 SPAWNS = st.tuples(st.sampled_from(("now", "next")), st.integers(0, 4),
                    st.integers(0, 6))
 
@@ -92,21 +92,29 @@ def _drive(use_trains, events, spawns, ends):
 
     def add(at, step, n):
         k = next(op_ids)
-        items = [(k, i, step) for i in range(max(n, 1))]
+        items = [(k, i, step, i == max(n, 1) - 1) for i in range(max(n, 1))]
         if n == 0:
             sim.schedule(at, fire, items[0])
         elif use_trains:
-            sim.schedule_train(at, step, fire, items)
+            sim.schedule_train(at, step, fire_run, items)
         else:  # the oracle: every member scheduled on its own
             for i, item in enumerate(items):
                 sim.schedule(at + i * step, fire, item)
 
     def fire(item):
-        j = len(fired)
         fired.append((sim.now, item))
-        if j < len(spawns):
+        j = len(fired) - 1
+        if item[3] and j < len(spawns):
             when, step, n = spawns[j]
             add(sim.now if when == "now" else sim.now + item[2], step, n)
+
+    def fire_run(items, i, j, step):
+        # members before the last must see their own times; only the last
+        # one, at now, may spawn
+        now = sim.now
+        for k in range(i, j - 1):
+            fired.append((now - (j - 1 - k) * step, items[k]))
+        fire(items[j - 1])
 
     for at, step, n in events:
         add(at, step, n)
@@ -131,13 +139,48 @@ def test_trains_fire_like_one_schedule_per_member(events, spawns, ends):
 def test_train_cut_by_run_end_resumes_at_its_next_member():
     sim = Simulator()
     fired = []
-    sim.schedule_train(10, 5, lambda x: fired.append((sim.now, x)), "abcd")
+    runs = []
+
+    def fire_run(items, i, j, step):
+        runs.append((sim.now, items[i:j]))
+        fired.extend((sim.now - (j - 1 - k) * step, items[k]) for k in range(i, j))
+
+    sim.schedule_train(10, 5, fire_run, "abcd")
     sim.schedule(15, lambda x: fired.append((sim.now, x)), "z")
     sim.run_until(20)
     assert fired == [(10, "a"), (15, "b"), (15, "z"), (20, "c")]
+    assert runs == [(15, "ab"), (20, "c")]
     assert sim.events_processed == 4
     sim.run_until(100)
     assert fired[-1] == (25, "d") and sim.events_processed == 5
+    assert runs[-1] == (25, "d")
+
+
+def test_zero_step_train_fires_whole_before_later_ties():
+    sim = Simulator()
+    runs = []
+    sim.schedule(7, lambda _: sim.schedule(7, runs.append, "spawned"))
+    sim.schedule_train(7, 0, lambda items, i, j, step: runs.append(items[i:j]),
+                       "abc")
+    sim.run_until(7)
+    assert runs == ["abc", "spawned"] and sim.events_processed == 5
+
+
+def test_a_spawn_inside_a_run_raises():
+    """A run's handler runs at its last member's time, so an event that an
+    earlier member would put before that time is refused, not misordered."""
+    sim = Simulator()
+    runs = []
+
+    def fire_run(items, i, j, step):
+        runs.append((sim.now, items[i:j]))
+        first = sim.now - (j - 1 - i) * step
+        sim.schedule(first + 1, lambda _: None)  # before member i + 1
+
+    sim.schedule_train(10, 5, fire_run, "abcd")
+    with pytest.raises(SchedulingError):
+        sim.run_until(100)
+    assert runs == [(25, "abcd")]
 
 
 def test_schedule_train_in_the_past_raises():

@@ -1,12 +1,17 @@
 """Scenario construction, end-to-end cell runs, grid execution, CSV output."""
 
+import dataclasses
 import gc
 import hashlib
 import io
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ubrsim import netsim
+from ubrsim import experiment, netsim
+from ubrsim.aal5 import cells_for_segment
 from ubrsim.experiment import (format_row, run_cell_safe, run_grid,
                                write_results)
 from ubrsim.kernel import seconds
@@ -164,6 +169,10 @@ PORT_CORRUPTIONS = [
      "egress cells_in == cells_out + occupancy"),
     (lambda topo: _bump(topo.reverse, "cells_in"),
      "cell conservation"),
+    (lambda topo: topo.reverse.queue.append([10**18, 1, 0]),
+     "occupancy == cells in buffer blocks"),
+    (lambda topo: _bump(topo.reverse.egress[0].reasm, "frames_corrupt", 10**9),
+     "frames_corrupt <= tail drops on each VC"),
 ]
 # connection 0; the large bumps outlast any arrival at the final instant
 CONNECTION_CORRUPTIONS = [
@@ -201,6 +210,33 @@ def test_broken_run_end_invariant_names_itself_in_the_row(monkeypatch, corrupt,
         f"error: RuntimeError: invariant {invariant} violated on {where}")
 
 
+def test_access_link_slower_than_the_bottleneck_is_refused():
+    sc = dataclasses.replace(tiny_scenario(), access_bps=4e6)  # 4.5 Mbps bottleneck
+    with pytest.raises(ValueError, match=r"access link rate 4e\+06 bps .* "
+                                         r"bottleneck rate 4\.5e\+06 bps"):
+        Topology(RunSpec(sc, "epd", "reno", "1"))
+    res = run_cell_safe(RunSpec(sc, "epd", "reno", "1"))
+    assert res.status.startswith("error: ValueError: access link rate")
+
+
+@given(delay_class=st.sampled_from(sorted(DELAY_CLASSES)),
+       seed=st.integers(1, 1000), connections=st.integers(1, 4),
+       duration_s=st.sampled_from((1.0, 2.0, 3.0)),
+       policy=st.sampled_from(POLICIES), flavor=st.sampled_from(FLAVORS),
+       frames=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_random_small_topologies_pass_every_run_end_invariant(
+        delay_class, seed, connections, duration_s, policy, flavor, frames):
+    """Buffers down to one MSS frame; a broken port or TCP invariant turns
+    the row's status into an error that names it."""
+    frame = cells_for_segment(DELAY_CLASSES[delay_class].mss)
+    sc = build_scenario(delay_class, seed=seed, scale=0.1,
+                        connections=connections, duration_s=duration_s,
+                        buffers=(frames * frame,) * 3)
+    res = run_cell_safe(RunSpec(sc, policy, flavor, "1"))
+    assert res.status == "ok", res.traceback
+
+
 def test_run_grid_frees_every_topology_without_the_cycle_collector():
     sc = tiny_scenario(connections=2, duration_s=0.5)
     gc.collect()
@@ -232,6 +268,26 @@ def test_run_grid_parallel_matches_sequential():
     seq = run_grid(sc, workers=1)
     par = run_grid(sc, workers=2)
     assert [format_row(r) for r in seq] == [format_row(r) for r in par]
+
+
+def _die_in_the_sd_reno_1_cell(spec, log_drops=False):
+    if (spec.drop_policy, spec.tcp_flavor, spec.buffer_rtt) == ("sd", "reno", "1"):
+        os._exit(3)
+    return run_cell(spec, log_drops=log_drops)
+
+
+def test_worker_death_fails_its_cells_not_the_grid(monkeypatch):
+    # the forked workers inherit the patched run_cell
+    monkeypatch.setattr(experiment, "run_cell", _die_in_the_sd_reno_1_cell)
+    sc = tiny_scenario(connections=1, duration_s=0.5)
+    results = run_grid(sc, workers=2)
+    assert [(r.drop_policy, r.tcp_flavor, r.buffer_rtt) for r in results] == \
+        [(c.drop_policy, c.tcp_flavor, c.buffer_rtt) for c in grid(sc)]
+    lost = [r for r in results if r.status != "ok"]
+    assert any((r.drop_policy, r.tcp_flavor, r.buffer_rtt) == ("sd", "reno", "1")
+               for r in lost)
+    assert all(r.status.startswith("error: BrokenProcessPool: ") for r in lost)
+    assert all(r.efficiency != r.efficiency for r in lost)  # nan
 
 
 def test_results_csv_layout_and_determinism():

@@ -13,27 +13,35 @@ from ubrsim.switchport import (DROP_FRAME_START, DROP_TAIL_OVERFLOW, EPD, SD,
 
 
 class EgressRecorder:
-    def __init__(self):
+    """Stands in for an EgressLink: records each offered cell as its port
+    departure time and its eom cell, or None for a body cell."""
+
+    def __init__(self, tx_ns):
+        self.tx_ns = tx_ns
         self.cells = []
         self.departures = []
 
-    def offer(self, cell, port_departure_ns):
-        self.cells.append(cell)
-        self.departures.append(port_departure_ns)
+    def offer(self, eom, n, last_port_departure_ns):
+        first = last_port_departure_ns - (n - 1) * self.tx_ns
+        self.departures += range(first, last_port_departure_ns + 1, self.tx_ns)
+        self.cells += [None] * (n - 1) + [eom]
 
 
 def make_port(policy, capacity=1000, num_vcs=4, rate=45e6, log=True):
     sim = Simulator()
     port = PolicyPort(sim, "fwd", rate, capacity, policy, num_vcs, log_drops=log)
-    port.egress = [EgressRecorder() for _ in range(num_vcs)]
+    port.egress = [EgressRecorder(port.tx_ns) for _ in range(num_vcs)]
     return sim, port
 
 
+def frame_cells(vc, ncells, length=0, seq=0):
+    return ([Cell(vc, False, None)] * (ncells - 1)
+            + [Cell(vc, True, Segment(vc, 1, seq, length, None))])
+
+
 def feed_frame(port, vc, ncells, length=0):
-    seg = Segment(vc, 1, 0, length, None)
-    for _ in range(ncells - 1):
-        port.on_cell(Cell(vc, False, None))
-    port.on_cell(Cell(vc, True, seg))
+    """All of the frame's cells arrive now, as one run with a zero step."""
+    port.on_cell(frame_cells(vc, ncells, length), 0, ncells, 0)
 
 
 def test_cell_time_at_bottleneck_rate():
@@ -113,8 +121,8 @@ def test_service_preserves_fifo_and_routes_per_vc():
     feed_frame(port, 1, 2)
     sim.run_until(9422 * 5 + 1)
     port._complete(sim.now)
-    assert [c.vc for c in port.egress[0].cells] == [0, 0, 0]
-    assert [c.vc for c in port.egress[1].cells] == [1, 1]
+    assert [c and c.vc for c in port.egress[0].cells] == [None, None, 0]
+    assert [c and c.vc for c in port.egress[1].cells] == [None, 1]
     assert port.egress[0].departures == [9422, 9422 * 2, 9422 * 3]
     assert port.egress[1].departures == [9422 * 4, 9422 * 5]
     assert port.cells_out == 5
@@ -197,13 +205,13 @@ def test_lazy_port_matches_event_driven_oracle(policy, capacity, seed):
     fast_sim, fast = make_port(policy, capacity=capacity, num_vcs=num_vcs)
     slow_sim = Simulator()
     slow = EventDrivenPort(slow_sim, 45e6, capacity, policy, num_vcs)
-    slow.egress = [EgressRecorder() for _ in range(num_vcs)]
+    slow.egress = [EgressRecorder(slow.tx_ns) for _ in range(num_vcs)]
     ties = 0
     for t, cell in random_cell_trace(random.Random(seed), num_vcs, 9422, 4000):
         fast_sim.run_until(t)
         slow_sim.run_until(t)                # completions at t fire first
         ties += bool(fast.queue) and fast.queue[0][0] == t
-        fast.on_cell(cell)
+        fast.on_cell([cell], 0, 1, 0)        # a run of one cell
         slow.on_cell(cell)
     assert ties > 0
     assert fast.drop_log == slow.drop_log
@@ -219,13 +227,85 @@ def test_lazy_port_matches_event_driven_oracle(policy, capacity, seed):
             == [getattr(slow, c) for c in counters])
 
 
+class Tap:
+    """Port stand-in between IngressLinks and a port: logs each run's cells
+    with their own arrival times, then hands the run on."""
+
+    def __init__(self, sim, port):
+        self.sim = sim
+        self.port = port
+        self.arrivals = []
+        self.ties = 0  # runs that arrive just as the head block's cell departs
+        self.blocks = 0  # runs admitted as one block of several cells
+
+    def on_cell(self, items, i, j, step):
+        t = self.sim.now - (j - 1 - i) * step
+        self.arrivals += ((t + (k - i) * step, items[k]) for k in range(i, j))
+        q = self.port.queue
+        self.ties += bool(q) and q[0][0] == t
+        tail = q[-1] if q else None
+        self.port.on_cell(items, i, j, step)
+        self.blocks += bool(q) and q[-1] is not tail and q[-1][1] > 1
+
+
+@pytest.mark.parametrize("policy", [EPD, SD])
+@pytest.mark.parametrize("max_frame, capacity", [(8, 8), (8, 20), (23, 23), (23, 60)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_block_port_fed_by_ingress_trains_matches_event_driven_oracle(
+        policy, max_frame, capacity, seed):
+    """Several VCs' IngressLinks feed the port as real kernel trains; the
+    oracle port gets the same arrivals one cell at a time.  All times sit on
+    the access cell time's grid and the port's cell time is three of those,
+    so arrivals tie with each other and with departures."""
+    num_vcs = 4
+    access_tx = cell_time_ns(149.76e6)
+    port_rate = 424e9 / (3 * access_tx)
+    fast_sim, fast = make_port(policy, capacity=capacity, num_vcs=num_vcs,
+                               rate=port_rate)
+    tap = Tap(fast_sim, fast)
+    links = [IngressLink(fast_sim, tap, 149.76e6, prop_ns=10 * access_tx)
+             for _ in range(num_vcs)]
+    rng = random.Random(seed)
+    t = 0
+    for frame in range(1500):
+        t += access_tx * rng.choice((0, 0, 1, 3, rng.randrange(40)))
+        vc = rng.randrange(num_vcs)
+        cells = frame_cells(vc, rng.randint(1, max_frame), seq=frame)
+        fast_sim.schedule(t, lambda c, link=links[vc]: link.offer_frame(c), cells)
+    fast_sim.run_until(t + 10 ** 9)
+    fast._complete(fast_sim.now)
+
+    slow_sim = Simulator()
+    slow = EventDrivenPort(slow_sim, port_rate, capacity, policy, num_vcs)
+    slow.egress = [EgressRecorder(slow.tx_ns) for _ in range(num_vcs)]
+    same_ns = 0
+    for k, (t, cell) in enumerate(tap.arrivals):
+        slow_sim.run_until(t)                # completions at t fire first
+        slow.on_cell(cell)
+        same_ns += k > 0 and tap.arrivals[k - 1][0] == t
+    slow_sim.run_until(t + 10 ** 9)
+
+    assert fast.tx_ns == 3 * access_tx
+    assert tap.blocks > 0 and tap.ties > 0 and same_ns > 0
+    assert sum(fast.tail_drops) > 0         # the cell-by-cell path dropped
+    assert fast.drop_log == slow.drop_log
+    for f, s in zip(fast.egress, slow.egress):
+        assert list(zip(f.departures, f.cells)) == list(zip(s.departures, s.cells))
+    counters = ("cells_in", "cells_out", "cells_dropped", "frames_discarded",
+                "occupancy", "n_active", "x_per_vc")
+    assert ([getattr(fast, c) for c in counters]
+            == [getattr(slow, c) for c in counters])
+    assert fast.cells_in == len(tap.arrivals)
+
+
 def test_ingress_link_paces_and_delays_cells():
     sim = Simulator()
     arrivals = []
 
     class PortStub:
-        def on_cell(self, cell):
-            arrivals.append((sim.now, cell))
+        def on_cell(self, items, i, j, step):
+            arrivals.extend((sim.now - (j - 1 - k) * step, items[k])
+                            for k in range(i, j))
 
     link = IngressLink(sim, PortStub(), 149.76e6, prop_ns=5000)
     seg = Segment(0, 1, 0, 100, None)
@@ -245,10 +325,10 @@ def test_egress_link_delivers_intact_frames_at_arrival_time():
                       deliver=lambda seg: delivered.append((sim.now, seg)))
     seg = Segment(0, 1, 0, 100, None)
     cells = segment_to_cells(0, seg)
-    for c in cells:                         # all leave the port at t=0
-        link.offer(c, 0)
+    # the 4 cells leave a 45 Mbps port back to back, the last at 4 * 9422
+    link.offer(cells[-1], len(cells), 4 * 9422)
     sim.run_until(10 ** 9)
-    assert delivered == [(5_000_000 + 4 * 2831 + 5000, seg)]
+    assert delivered == [(4 * 9422 + 5_000_000 + 2831 + 5000, seg)]
 
 
 def test_egress_link_drops_frame_missing_a_cell():
@@ -259,11 +339,9 @@ def test_egress_link_drops_frame_missing_a_cell():
                       lambda seg: delivered.append(seg))
     seg = Segment(0, 1, 0, 100, None)
     cells = segment_to_cells(0, seg)
-    for c in cells[1:]:                     # first body cell lost upstream
-        link.offer(c, 0)
+    link.offer(cells[-1], len(cells) - 1, 3 * 9422)  # a body cell lost upstream
     good = Segment(0, 1, 1, 100, None)
-    for c in segment_to_cells(0, good):
-        link.offer(c, 0)
+    link.offer(Cell(0, True, good), len(cells), 7 * 9422)
     sim.run_until(10 ** 9)
     assert delivered == [good]
     assert reasm.frames_corrupt == 1
