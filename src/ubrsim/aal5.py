@@ -3,7 +3,8 @@
 A TCP segment of L payload bytes travels as one AAL5 frame of
 L + 56 bytes (20 TCP + 20 IP + 8 LLC/SNAP + 8 AAL5 trailer), padded
 into 48-byte cell payloads; every cell costs 53 bytes on the wire.
-A frame is delivered only if every one of its cells arrives.
+A frame is delivered only if every one of its cells arrives.  No cell
+exists as an object: a frame is one `Frame(vc, n, seg)` descriptor.
 """
 
 from __future__ import annotations
@@ -18,18 +19,18 @@ FRAME_OVERHEAD = 56  # TCP 20 + IP 20 + LLC/SNAP 8 + AAL5 trailer 8
 class Segment(NamedTuple):
     """Wire-level TCP segment descriptor (no actual payload bytes carried)."""
 
-    conn: int
-    sender: int      # 0 = client side, 1 = server side
     seq: int
     length: int      # payload bytes; 0 for a pure ACK
     ack: int | None  # cumulative ACK number, None on data segments
     sacks: tuple = ()
 
 
-class Cell(NamedTuple):
+class Frame(NamedTuple):
+    """One segment's AAL5 frame on a VC: n cells, the last one eom."""
+
     vc: int
-    eom: bool
-    seg: Segment | None  # segment descriptor rides on the eom cell only
+    n: int
+    seg: Segment
 
 
 def cells_for_segment(payload_bytes: int) -> int:
@@ -48,18 +49,9 @@ def max_tcp_throughput(mss: int, link_bps: float) -> float:
     return link_bps * mss / (cells_for_segment(mss) * CELL_BYTES)
 
 
-def segment_to_cells(vc: int, seg: Segment, body: Cell | None = None) -> list[Cell]:
-    """Serialize a segment into its cell train; the eom cell carries `seg`.
-
-    Body cells are interchangeable, so callers may pass a preallocated
-    per-VC `body` cell to avoid re-allocating one per frame.
-    """
-    n = cells_for_segment(seg.length)
-    if body is None:
-        body = Cell(vc, False, None)
-    cells = [body] * (n - 1)
-    cells.append(Cell(vc, True, seg))
-    return cells
+def segment_to_cells(vc: int, seg: Segment) -> Frame:
+    """The frame that carries `seg` on `vc`, sized in cells."""
+    return Frame(vc, cells_for_segment(seg.length), seg)
 
 
 class Reassembler:

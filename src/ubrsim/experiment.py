@@ -46,12 +46,17 @@ def _error_row(spec, exc: BaseException, traceback: str) -> RunResult:
         status=f"error: {type(exc).__name__}: {exc}", traceback=traceback)
 
 
-def _pool_result(future, spec) -> RunResult:
-    # a worker that dies takes its cell and every pending one with it
+def _pool_result(job, future, spec) -> RunResult:
+    # a worker that dies takes its cell and every pending one with it; each
+    # lost cell reruns once, alone, and fails only if it kills that worker too
     try:
         return future.result()
-    except BrokenProcessPool as exc:
-        return _error_row(spec, exc, format_exc())
+    except BrokenProcessPool:
+        with ProcessPoolExecutor(max_workers=1) as alone:
+            try:
+                return alone.submit(job, spec).result()
+            except BrokenProcessPool as exc:
+                return _error_row(spec, exc, format_exc())
 
 
 def run_grid(scenario: Scenario, workers: int = 1, log_drops: bool = False,
@@ -64,7 +69,7 @@ def run_grid(scenario: Scenario, workers: int = 1, log_drops: bool = False,
     with pool or nullcontext():
         if pool:
             futures = [pool.submit(job, spec) for spec in specs]
-            rows = map(_pool_result, futures, specs)
+            rows = map(partial(_pool_result, job), futures, specs)
         else:
             rows = map(job, specs)
         for i, res in enumerate(rows, start=1):

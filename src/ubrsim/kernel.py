@@ -5,16 +5,17 @@ exact and runs are bit-reproducible across platforms.
 
 Ordering contract: every event has a key (fire_at, sequence), where sequence
 is the schedule order, and events fire in strictly increasing key order.  A
-train from `schedule_train(at, step, fn, items)` takes len(items) consecutive
+train from `schedule_train(at, step, n, fn, arg)` takes n consecutive
 sequence numbers at once; member i has key (at + i*step, base + i).  The
 train occupies one heap entry, keyed by its next member.  When that entry
 fires, the members i..j-1 that are due, i.e. whose keys are below every other
 pending key and whose times are not past the run's end, fire as one run: one
-call fn(items, i, j, step) with `now` at member j-1's time.  Each member
-counts as one event, so the firing order and `events_processed` are exactly
-those of len(items) separate `schedule` calls, provided that only the last
-member of a run schedules anything.  Since `now` is the run's last time,
-`schedule` refuses any event an earlier member would put inside the run.
+call fn(arg, i, j, step) with `now` at member j-1's time.  The kernel never
+looks inside `arg`; what a member is, is fn's business.  Each member counts
+as one event, so the firing order and `events_processed` are exactly those
+of n separate `schedule` calls, provided that only the last member of a run
+schedules anything.  Since `now` is the run's last time, `schedule` refuses
+any event an earlier member would put inside the run.
 """
 
 from __future__ import annotations
@@ -165,30 +166,29 @@ class Simulator:
         heappush(self._heap, (at, self._seq, fn, arg))
         self._seq += 1
 
-    def schedule_train(self, at: int, step: int, fn, items) -> None:
-        """Schedule members items[i] at `at` + i*`step` as one heap entry.
+    def schedule_train(self, at: int, step: int, n: int, fn, arg) -> None:
+        """Schedule n members, member i at `at` + i*`step`, as one heap entry.
 
-        Due members fire in runs, as fn(items, i, j, step) for items[i:j];
+        Due members fire in runs, as fn(arg, i, j, step) for members i..j-1;
         same order and event count as scheduling each member on its own.
         """
         if at < self.now:
             raise SchedulingError(f"schedule at t={at} ns before now={self.now} ns")
         if step < 0:
             raise SchedulingError(f"train step {step} ns is negative")
-        if items:
+        if n > 0:
             heappush(self._heap, (at, self._seq, self._fire_train,
-                                  (fn, items, 0, step, self._seq)))
-            self._seq += len(items)
+                                  (fn, arg, 0, n, step, self._seq)))
+            self._seq += n
 
     def _fire_train(self, train) -> None:
         # member i is due (now is its time); members i..j-1 are due while
         # their key is below the heap top's and their time is not past end.
         # No other key falls between two members' sequence numbers, so with
         # a zero step every member is due.
-        fn, items, i, step, seq = train
+        fn, arg, i, n, step, seq = train
         heap = self._heap
         t = self.now
-        n = len(items)
         j = n
         if step:
             j = i + 1 + (self._end - t) // step
@@ -203,12 +203,12 @@ class Simulator:
                 j = n
         last = t + (j - 1 - i) * step
         self.now = last
-        fn(items, i, j, step)
+        fn(arg, i, j, step)
         self.events_processed += j - i - 1
         if j < n:
             seq += j - i
             heappush(heap, (last + step, seq, self._fire_train,
-                            (fn, items, j, step, seq)))
+                            (fn, arg, j, n, step, seq)))
 
     def clear(self) -> None:
         """Drop every pending event."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .aal5 import Cell, Reassembler, Segment, segment_to_cells
+from .aal5 import Reassembler, Segment, segment_to_cells
 from .kernel import Simulator, seconds
 from .metrics import efficiency, fairness
 from .scenarios import RunSpec
@@ -62,10 +62,8 @@ CSV_COLUMNS = ("delay_class", "drop_policy", "tcp_flavor", "buffer_rtt",
 
 
 def _make_transmit(vc: int, ingress: IngressLink):
-    body = Cell(vc, False, None)  # body cells are interchangeable, share one
-
     def transmit(seg: Segment):
-        ingress.offer_frame(segment_to_cells(vc, seg, body))
+        ingress.offer_frame(segment_to_cells(vc, seg))
 
     return transmit
 
@@ -101,9 +99,9 @@ class Topology:
                                     sc.access_prop_ns)
             client_in = IngressLink(self.sim, self.reverse, sc.access_bps,
                                     sc.access_prop_ns)
-            server = TcpEndpoint(self.sim, c, 1, spec.tcp_flavor, params,
+            server = TcpEndpoint(self.sim, spec.tcp_flavor, params,
                                  _make_transmit(c, server_in))
-            client = TcpEndpoint(self.sim, c, 0, spec.tcp_flavor, params,
+            client = TcpEndpoint(self.sim, spec.tcp_flavor, params,
                                  _make_transmit(c, client_in))
             self.forward.egress[c] = EgressLink(
                 self.sim, sc.access_bps, sc.bottleneck_prop_ns,

@@ -4,8 +4,11 @@ A scenario fixes everything shared by one 24-cell experiment grid: the
 bottleneck and access links, the number of connections, TCP window and
 slow-start presets sized to the path, and the three buffer sizes (0.5, 1 and
 2 round-trip-times worth of cells).  A `scale` below 1 shrinks connection
-count and link rates together, preserving the offered-load-to-capacity ratio
-so that reduced runs exercise the same congestion regimes.
+count and link rates together: the offered-load-to-capacity ratio holds,
+and buffers in cells shrink with the rate.  Frames keep their cell count,
+so a scaled buffer holds fewer frames.  That changes results: a scale-1 wan
+grid (20 s) averages 0.744 efficiency with the scale-0.1 buffers and 0.962
+with its own.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ class Scenario:
     access_bps: float
     bottleneck_prop_ns: int
     access_prop_ns: int
-    rtt_s: float
     init_ssthresh: int
     wscale: int
     rcv_wnd: int
@@ -138,7 +140,6 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
         access_bps=ACCESS_BPS * scale,
         bottleneck_prop_ns=dc.one_way_ms * NS_PER_MS,
         access_prop_ns=ACCESS_PROP_NS,
-        rtt_s=rtt_s,
         init_ssthresh=ssthresh,
         wscale=wscale,
         rcv_wnd=BASE_WINDOW << wscale,

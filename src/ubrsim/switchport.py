@@ -2,10 +2,11 @@
 
 Every cell arrival at an inter-switch output port counts as one event, and
 the drop policy is evaluated at frame boundaries against the live buffer
-state.  The cells of one frame reach the port as one kernel train, and the
-port takes each run of due cells in one call: it judges the policy at the
-frame's first cell, admits a run that cannot fill the buffer as one block,
-and goes cell by cell only when the buffer limit is within the run's reach.
+state.  A frame is one `aal5.Frame(vc, n, seg)`, a kernel train of n cells
+whose eom cell n carries seg, and the port takes each run of due cells in
+one call: it judges the policy at the frame's first cell, admits a run that
+cannot fill the buffer as one block, and goes cell by cell only when the
+buffer limit is within the run's reach.
 The ports and the lossless access links are all exact closed-form FIFO rate
 servers: a cell departs at max(arrival, previous departure) + 424/rate, with
 no per-cell transmission event.  A port retires the cells that have left
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .aal5 import CELL_BYTES, Cell
+from .aal5 import CELL_BYTES, Frame, Segment
 from .kernel import Simulator
 
 EPD = "epd"
@@ -94,19 +95,17 @@ class PolicyPort:
         self.frames_discarded = 0
         self.drop_log: list | None = [] if log_drops else None
 
-    def on_cell(self, items: list[Cell], i: int, j: int, step: int) -> None:
-        """Arrival of the run items[i:j], its last cell at now: the policy
-        at a frame's first cell, then admission, as one block when the run
-        cannot fill the buffer."""
+    def on_cell(self, frame: Frame, i: int, j: int, step: int) -> None:
+        """Arrival of cells i..j-1 of `frame`, the last of them at now: the
+        policy at a frame's first cell, then admission, as one block when
+        the run cannot fill the buffer."""
         m = j - i
-        t = self.sim.now - (m - 1) * step  # arrival of items[i]
+        t = self.sim.now - (m - 1) * step  # arrival of cell i
         q = self.queue
         if q and q[0][0] <= t:
             self._complete(t)
-        vc = items[i].vc
-        eom = items[j - 1]
-        if not eom.eom:
-            eom = None
+        vc = frame.vc
+        eom = frame.seg if j == frame.n else None  # the segment, on the eom cell
         self.cells_in += m
         state = self._state[vc]
         if state == _DISCARDING:
@@ -232,7 +231,7 @@ class IngressLink:
     to the port in runs.
     """
 
-    __slots__ = ("sim", "port", "tx_ns", "prop_ns", "_free_at", "cells_in")
+    __slots__ = ("sim", "port", "tx_ns", "prop_ns", "_free_at")
 
     def __init__(self, sim: Simulator, port: PolicyPort, rate_bps: float, prop_ns: int):
         self.sim = sim
@@ -240,16 +239,15 @@ class IngressLink:
         self.tx_ns = cell_time_ns(rate_bps)
         self.prop_ns = prop_ns
         self._free_at = 0
-        self.cells_in = 0
 
-    def offer_frame(self, cells: list[Cell]) -> None:
+    def offer_frame(self, frame: Frame) -> None:
         sim = self.sim
         now = sim.now
         start = now if now > self._free_at else self._free_at
         tx = self.tx_ns
-        sim.schedule_train(start + tx + self.prop_ns, tx, self.port.on_cell, cells)
-        self._free_at = start + tx * len(cells)
-        self.cells_in += len(cells)
+        sim.schedule_train(start + tx + self.prop_ns, tx, frame.n,
+                           self.port.on_cell, frame)
+        self._free_at = start + tx * frame.n
 
 
 class EgressLink:
@@ -277,13 +275,14 @@ class EgressLink:
         self.delay_ns = bottleneck_prop_ns + cell_time_ns(rate_bps) + access_prop_ns
         self.cells_in = 0
 
-    def offer(self, eom: Cell | None, n: int, last_port_departure_ns: int) -> None:
-        """n cells of one frame; `eom` is its eom cell when it is the last."""
+    def offer(self, seg: Segment | None, n: int, last_port_departure_ns: int) -> None:
+        """n cells of one frame; `seg` is its segment when the last of them
+        is its eom cell, else None."""
         self.cells_in += n
-        if eom is None:
+        if seg is None:
             self.reasm.body(n)
         else:
             self.reasm.body(n - 1)
-            if self.reasm.eom(eom.seg):
+            if self.reasm.eom(seg):
                 self.sim.schedule(last_port_departure_ns + self.delay_ns,
-                                  self.deliver, eom.seg)
+                                  self.deliver, seg)

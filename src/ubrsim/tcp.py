@@ -72,13 +72,10 @@ class SegRecord:
 class TcpEndpoint:
     """One side of a pre-established duplex TCP connection."""
 
-    def __init__(self, sim: Simulator, conn: int, sender_id: int, flavor: str,
-                 params: TcpParams, transmit):
+    def __init__(self, sim: Simulator, flavor: str, params: TcpParams, transmit):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
         self.sim = sim
-        self.conn = conn
-        self.sender_id = sender_id
         self.flavor = flavor
         self.params = params
         self.transmit = transmit      # transmit(Segment)
@@ -134,8 +131,7 @@ class TcpEndpoint:
         elif self._timed_end is None:
             self._timed_end = rec.end
             self._timed_at = self.sim.now
-        self.transmit(Segment(self.conn, self.sender_id, rec.start,
-                              rec.end - rec.start, None))
+        self.transmit(Segment(rec.start, rec.end - rec.start, None))
 
     def _try_send(self) -> None:
         """Window-gated transmission from the cursor; whole segments only."""
@@ -450,5 +446,4 @@ class TcpEndpoint:
         return tuple((r[0], r[1]) for r in ranges[:3])
 
     def _send_ack(self, dup_of=None) -> None:
-        self.transmit(Segment(self.conn, self.sender_id, 0, 0,
-                              self.rcv_nxt, self._sack_blocks(dup_of)))
+        self.transmit(Segment(0, 0, self.rcv_nxt, self._sack_blocks(dup_of)))

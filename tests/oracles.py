@@ -38,12 +38,13 @@ class EventDrivenPort:
     """Bottleneck port with one kernel event per cell transmission.
 
     The reference for `ubrsim.switchport.PolicyPort`: the same buffer, drop
-    policy and drop log, but arrivals come one cell at a time, the buffer is
-    drained by a completion event per cell, and each cell is handed to
-    egress as a run of one when its completion fires, with that time as its
-    departure.  Tests follow the fast port's tie rule by
-    running the kernel up to an arrival's time before delivering it, so that
-    completions at time t fire before an arrival at t.
+    policy and drop log, but arrivals come one cell at a time, as
+    on_cell(vc, seg) with seg the frame's segment on its eom cell and None
+    on a body cell, the buffer is drained by a completion event per cell,
+    and each cell is handed to egress as a run of one when its completion
+    fires, with that time as its departure.  Tests follow the fast port's
+    tie rule by running the kernel up to an arrival's time before delivering
+    it, so that completions at time t fire before an arrival at t.
     """
 
     def __init__(self, sim, rate_bps, capacity, policy, num_vcs, r=0.8, z=0.8):
@@ -70,13 +71,13 @@ class EventDrivenPort:
     def occupancy(self):
         return len(self.queue) - self._head
 
-    def on_cell(self, cell):
-        vc = cell.vc
+    def on_cell(self, vc, seg):
+        eom = seg is not None
         state = self._state[vc]
         self.cells_in += 1
         if state == "discarding":
             self.cells_dropped += 1
-            if cell.eom:
+            if eom:
                 self._state[vc] = "idle"
             return
         x = self.occupancy
@@ -84,20 +85,20 @@ class EventDrivenPort:
             if x > self.threshold and (
                     self.policy == EPD
                     or sd_over_fair_share(self.x_per_vc[vc], x, self.n_active, self.z)):
-                self._drop_frame(cell, DROP_FRAME_START, x)
+                self._drop_frame(vc, eom, DROP_FRAME_START, x)
                 return
             if x >= self.capacity:
-                self._drop_frame(cell, DROP_TAIL_OVERFLOW, x)
+                self._drop_frame(vc, eom, DROP_TAIL_OVERFLOW, x)
                 return
-            if not cell.eom:
+            if not eom:
                 self._state[vc] = "admitting"
         else:
             if x >= self.capacity:
-                self._drop_frame(cell, DROP_TAIL_OVERFLOW, x)
+                self._drop_frame(vc, eom, DROP_TAIL_OVERFLOW, x)
                 return
-            if cell.eom:
+            if eom:
                 self._state[vc] = "idle"
-        self.queue.append(cell)
+        self.queue.append((vc, seg))
         if self.x_per_vc[vc] == 0:
             self.n_active += 1
         self.x_per_vc[vc] += 1
@@ -105,23 +106,21 @@ class EventDrivenPort:
             self._busy = True
             self.sim.schedule(self.sim.now + self.tx_ns, self._complete)
 
-    def _drop_frame(self, cell, verdict, x):
-        vc = cell.vc
+    def _drop_frame(self, vc, eom, verdict, x):
         self.cells_dropped += 1
         self.frames_discarded += 1
         self.drop_log.append(
             (self.sim.now, vc, verdict, x, self.x_per_vc[vc], self.n_active))
-        self._state[vc] = "idle" if cell.eom else "discarding"
+        self._state[vc] = "idle" if eom else "discarding"
 
     def _complete(self, _=None):
-        cell = self.queue[self._head]
+        vc, seg = self.queue[self._head]
         self._head += 1
-        vc = cell.vc
         self.x_per_vc[vc] -= 1
         if self.x_per_vc[vc] == 0:
             self.n_active -= 1
         self.cells_out += 1
-        self.egress[vc].offer(cell if cell.eom else None, 1, self.sim.now)
+        self.egress[vc].offer(seg, 1, self.sim.now)
         if self.occupancy:
             self.sim.schedule(self.sim.now + self.tx_ns, self._complete)
         else:

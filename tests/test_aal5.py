@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubrsim.aal5 import (CELL_BYTES, CELL_PAYLOAD, FRAME_OVERHEAD, Cell,
+from ubrsim.aal5 import (CELL_BYTES, CELL_PAYLOAD, FRAME_OVERHEAD, Frame,
                          Reassembler, Segment, cells_for_segment,
                          max_tcp_throughput, segment_to_cells, wire_bytes)
 
@@ -36,28 +36,26 @@ def test_max_tcp_throughput_values():
 
 
 def test_segment_to_cells_shape():
-    seg = Segment(conn=4, sender=1, seq=0, length=1024, ack=None)
-    cells = segment_to_cells(4, seg)
-    assert len(cells) == 23
-    assert all(not c.eom and c.seg is None and c.vc == 4 for c in cells[:-1])
-    assert cells[-1] == Cell(4, True, seg)
+    seg = Segment(seq=0, length=1024, ack=None)
+    frame = segment_to_cells(4, seg)
+    assert frame == Frame(vc=4, n=23, seg=seg)
+    assert frame.seg is seg
 
 
-def test_segment_to_cells_shares_body_cell():
-    body = Cell(2, False, None)
-    seg = Segment(2, 1, 0, 100, None)
-    cells = segment_to_cells(2, seg, body)
-    assert all(c is body for c in cells[:-1])
+def _cells(frame):
+    """The frame's cells in order: None for a body cell, the segment on the
+    eom cell."""
+    return [None] * (frame.n - 1) + [frame.seg]
 
 
 def _feed(reasm, cells):
     """Feed cells in order; return the segments of the frames judged intact."""
     intact = []
-    for c in cells:
-        if not c.eom:
+    for seg in cells:
+        if seg is None:
             reasm.body(1)
-        elif reasm.eom(c.seg):
-            intact.append(c.seg)
+        elif reasm.eom(seg):
+            intact.append(seg)
     return intact
 
 
@@ -66,9 +64,9 @@ def _feed(reasm, cells):
 def test_reassembly_round_trip_identity(lengths):
     got = []
     reasm = Reassembler()
-    segs = [Segment(0, 1, i, n, None) for i, n in enumerate(lengths)]
+    segs = [Segment(i, n, None) for i, n in enumerate(lengths)]
     for seg in segs:
-        got += _feed(reasm, segment_to_cells(0, seg))
+        got += _feed(reasm, _cells(segment_to_cells(0, seg)))
     assert got == segs
     assert reasm.frames_ok == len(segs)
     assert reasm.frames_corrupt == 0
@@ -76,11 +74,11 @@ def test_reassembly_round_trip_identity(lengths):
 
 def test_lost_body_cell_corrupts_only_that_frame():
     reasm = Reassembler()
-    seg1 = Segment(0, 1, 0, 1024, None)
-    seg2 = Segment(0, 1, 1, 1024, None)
-    cells = segment_to_cells(0, seg1)
+    seg1 = Segment(0, 1024, None)
+    seg2 = Segment(1, 1024, None)
+    cells = _cells(segment_to_cells(0, seg1))
     got = _feed(reasm, cells[1:])        # one body cell lost
-    got += _feed(reasm, segment_to_cells(0, seg2))
+    got += _feed(reasm, _cells(segment_to_cells(0, seg2)))
     assert got == [seg2]
     assert reasm.frames_corrupt == 1
     assert reasm.cells_wasted == 22
@@ -88,10 +86,10 @@ def test_lost_body_cell_corrupts_only_that_frame():
 
 def test_lost_eom_cell_corrupts_the_following_frame_too():
     reasm = Reassembler()
-    seg1 = Segment(0, 1, 0, 1024, None)
-    seg2 = Segment(0, 1, 1, 1024, None)
-    got = _feed(reasm, segment_to_cells(0, seg1)[:-1])   # eom lost: no boundary
-    got += _feed(reasm, segment_to_cells(0, seg2))       # counts pollute this frame
+    seg1 = Segment(0, 1024, None)
+    seg2 = Segment(1, 1024, None)
+    got = _feed(reasm, _cells(segment_to_cells(0, seg1))[:-1])  # eom lost
+    got += _feed(reasm, _cells(segment_to_cells(0, seg2)))  # counts pollute it
     assert got == []
     assert reasm.frames_corrupt == 1
     assert reasm.cells_wasted == 22 + 23
@@ -99,7 +97,7 @@ def test_lost_eom_cell_corrupts_the_following_frame_too():
 
 def test_eom_verdict_return_value():
     reasm = Reassembler()
-    seg = Segment(0, 1, 0, 40, None)
+    seg = Segment(0, 40, None)
     reasm.body(1)
     assert reasm.eom(seg) is True
     assert reasm.eom(seg) is False       # missing body cell this time

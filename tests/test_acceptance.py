@@ -352,13 +352,13 @@ def test_criterion_6_mechanism_invariants(trend_runs):
     reasm = Reassembler()
     aal5_ok = True
     for length in range(0, 20_001):
-        seg = Segment(0, 1, 0, length, None)
-        cells = segment_to_cells(0, seg)
-        if len(cells) != cells_for_segment(length):
+        seg = Segment(0, length, None)
+        frame = segment_to_cells(0, seg)
+        if frame.n != cells_for_segment(length):
             aal5_ok = False
             break
-        reasm.body(len(cells) - 1)
-        if not (reasm.eom(cells[-1].seg) and cells[-1].seg.length == length):
+        reasm.body(frame.n - 1)
+        if not (reasm.eom(frame.seg) and frame.seg.length == length):
             aal5_ok = False
             break
     aal5_ok = aal5_ok and reasm.frames_ok == 20_001 and reasm.cells_wasted == 0

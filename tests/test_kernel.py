@@ -96,7 +96,7 @@ def _drive(use_trains, events, spawns, ends):
         if n == 0:
             sim.schedule(at, fire, items[0])
         elif use_trains:
-            sim.schedule_train(at, step, fire_run, items)
+            sim.schedule_train(at, step, len(items), fire_run, items)
         else:  # the oracle: every member scheduled on its own
             for i, item in enumerate(items):
                 sim.schedule(at + i * step, fire, item)
@@ -145,7 +145,7 @@ def test_train_cut_by_run_end_resumes_at_its_next_member():
         runs.append((sim.now, items[i:j]))
         fired.extend((sim.now - (j - 1 - k) * step, items[k]) for k in range(i, j))
 
-    sim.schedule_train(10, 5, fire_run, "abcd")
+    sim.schedule_train(10, 5, 4, fire_run, "abcd")
     sim.schedule(15, lambda x: fired.append((sim.now, x)), "z")
     sim.run_until(20)
     assert fired == [(10, "a"), (15, "b"), (15, "z"), (20, "c")]
@@ -160,7 +160,7 @@ def test_zero_step_train_fires_whole_before_later_ties():
     sim = Simulator()
     runs = []
     sim.schedule(7, lambda _: sim.schedule(7, runs.append, "spawned"))
-    sim.schedule_train(7, 0, lambda items, i, j, step: runs.append(items[i:j]),
+    sim.schedule_train(7, 0, 3, lambda items, i, j, step: runs.append(items[i:j]),
                        "abc")
     sim.run_until(7)
     assert runs == ["abc", "spawned"] and sim.events_processed == 5
@@ -177,7 +177,7 @@ def test_a_spawn_inside_a_run_raises():
         first = sim.now - (j - 1 - i) * step
         sim.schedule(first + 1, lambda _: None)  # before member i + 1
 
-    sim.schedule_train(10, 5, fire_run, "abcd")
+    sim.schedule_train(10, 5, 4, fire_run, "abcd")
     with pytest.raises(SchedulingError):
         sim.run_until(100)
     assert runs == [(25, "abcd")]
@@ -187,10 +187,10 @@ def test_schedule_train_in_the_past_raises():
     sim = Simulator()
     sim.run_until(10)
     with pytest.raises(SchedulingError):
-        sim.schedule_train(9, 1, lambda _: None, [1, 2])
+        sim.schedule_train(9, 1, 2, lambda _: None, None)
     with pytest.raises(SchedulingError):
-        sim.schedule_train(10, -1, lambda _: None, [1, 2])
-    sim.schedule_train(10, 0, lambda _: None, [])  # an empty train is no event
+        sim.schedule_train(10, -1, 2, lambda _: None, None)
+    sim.schedule_train(10, 0, 0, lambda _: None, None)  # an empty train is no event
     sim.run_until(20)
     assert sim.events_processed == 0
 

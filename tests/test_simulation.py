@@ -277,17 +277,23 @@ def _die_in_the_sd_reno_1_cell(spec, log_drops=False):
 
 
 def test_worker_death_fails_its_cells_not_the_grid(monkeypatch):
-    # the forked workers inherit the patched run_cell
+    # the forked workers inherit the patched run_cell; the cells pending in
+    # the broken pool rerun alone, and only the cell that kills its worker
+    # again keeps an error row
     monkeypatch.setattr(experiment, "run_cell", _die_in_the_sd_reno_1_cell)
     sc = tiny_scenario(connections=1, duration_s=0.5)
     results = run_grid(sc, workers=2)
     assert [(r.drop_policy, r.tcp_flavor, r.buffer_rtt) for r in results] == \
         [(c.drop_policy, c.tcp_flavor, c.buffer_rtt) for c in grid(sc)]
     lost = [r for r in results if r.status != "ok"]
-    assert any((r.drop_policy, r.tcp_flavor, r.buffer_rtt) == ("sd", "reno", "1")
-               for r in lost)
+    assert [(r.drop_policy, r.tcp_flavor, r.buffer_rtt) for r in lost] == \
+        [("sd", "reno", "1")]
     assert all(r.status.startswith("error: BrokenProcessPool: ") for r in lost)
     assert all(r.efficiency != r.efficiency for r in lost)  # nan
+    ok = [format_row(r) for r in results if r.status == "ok"]
+    assert ok == [format_row(run_cell_safe(spec)) for spec in grid(sc)
+                  if (spec.drop_policy, spec.tcp_flavor, spec.buffer_rtt)
+                  != ("sd", "reno", "1")]
 
 
 def test_results_csv_layout_and_determinism():
@@ -326,6 +332,26 @@ def test_tiny_grid_results_are_pinned_byte_for_byte(delay_class):
     write_results(run_grid(sc), out)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == RESULTS_DIGESTS[delay_class]
+
+
+# SHA-256 of the drop log (`write_drop_logs`) of the tiny wan grid above: 373
+# drops, 34 corrupt frames.  The drop policies judge frames at their first
+# and eom cells, so this pins how the port sees frame boundaries.
+DROP_LOG_DIGEST = "4828d2534215a29126db8cf035fd19982f645b6e7a7485850d5cdd8b4324bcca"
+
+
+def test_tiny_wan_grid_drop_log_is_pinned_byte_for_byte(tmp_path):
+    sc = build_scenario("wan", seed=3, scale=0.1, connections=2,
+                        duration_s=1.0)
+    results = run_grid(sc, log_drops=True)
+    path = tmp_path / "drops.csv"
+    assert experiment.write_drop_logs(results, str(path)) == 373
+    assert sum(r.frames_corrupt for r in results) == 34
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DROP_LOG_DIGEST
+    out = io.StringIO()
+    write_results(results, out)  # logging drops changes no result
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == RESULTS_DIGESTS["wan"]
 
 
 def test_delay_class_constants_cover_all_orbits():

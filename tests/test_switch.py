@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import EventDrivenPort
-from ubrsim.aal5 import Cell, Reassembler, Segment, segment_to_cells
+from ubrsim.aal5 import Frame, Reassembler, Segment, segment_to_cells
 from ubrsim.kernel import Simulator
 from ubrsim.switchport import (DROP_FRAME_START, DROP_TAIL_OVERFLOW, EPD, SD,
                                Z, EgressLink, IngressLink, PolicyPort,
@@ -14,17 +14,18 @@ from ubrsim.switchport import (DROP_FRAME_START, DROP_TAIL_OVERFLOW, EPD, SD,
 
 class EgressRecorder:
     """Stands in for an EgressLink: records each offered cell as its port
-    departure time and its eom cell, or None for a body cell."""
+    departure time and, on an eom cell, its frame's segment, or None for a
+    body cell."""
 
     def __init__(self, tx_ns):
         self.tx_ns = tx_ns
         self.cells = []
         self.departures = []
 
-    def offer(self, eom, n, last_port_departure_ns):
+    def offer(self, seg, n, last_port_departure_ns):
         first = last_port_departure_ns - (n - 1) * self.tx_ns
         self.departures += range(first, last_port_departure_ns + 1, self.tx_ns)
-        self.cells += [None] * (n - 1) + [eom]
+        self.cells += [None] * (n - 1) + [seg]
 
 
 def make_port(policy, capacity=1000, num_vcs=4, rate=45e6, log=True):
@@ -34,14 +35,19 @@ def make_port(policy, capacity=1000, num_vcs=4, rate=45e6, log=True):
     return sim, port
 
 
-def frame_cells(vc, ncells, length=0, seq=0):
-    return ([Cell(vc, False, None)] * (ncells - 1)
-            + [Cell(vc, True, Segment(vc, 1, seq, length, None))])
+def make_frame(vc, ncells, seq=0):
+    return Frame(vc, ncells, Segment(seq, 0, None))
 
 
-def feed_frame(port, vc, ncells, length=0):
+def cell_of(frame, k):
+    """Cell k of a frame as the oracle port takes it: (vc, seg), with the
+    frame's segment on its eom cell and None on a body cell."""
+    return frame.vc, frame.seg if k == frame.n - 1 else None
+
+
+def feed_frame(port, vc, ncells, seq=0):
     """All of the frame's cells arrive now, as one run with a zero step."""
-    port.on_cell(frame_cells(vc, ncells, length), 0, ncells, 0)
+    port.on_cell(make_frame(vc, ncells, seq), 0, ncells, 0)
 
 
 def test_cell_time_at_bottleneck_rate():
@@ -117,12 +123,12 @@ def test_tail_overflow_discards_rest_of_frame():
 
 def test_service_preserves_fifo_and_routes_per_vc():
     sim, port = make_port(EPD, num_vcs=2)
-    feed_frame(port, 0, 3)
-    feed_frame(port, 1, 2)
+    feed_frame(port, 0, 3, seq=10)
+    feed_frame(port, 1, 2, seq=20)
     sim.run_until(9422 * 5 + 1)
     port._complete(sim.now)
-    assert [c and c.vc for c in port.egress[0].cells] == [None, None, 0]
-    assert [c and c.vc for c in port.egress[1].cells] == [None, 1]
+    assert port.egress[0].cells == [None, None, Segment(10, 0, None)]
+    assert port.egress[1].cells == [None, Segment(20, 0, None)]
     assert port.egress[0].departures == [9422, 9422 * 2, 9422 * 3]
     assert port.egress[1].departures == [9422 * 4, 9422 * 5]
     assert port.cells_out == 5
@@ -176,24 +182,26 @@ def test_single_vc_sd_behaves_like_epd():
 
 
 def random_cell_trace(rng, num_vcs, tx, n):
-    """(time, cell) arrivals with frames of 1-8 cells interleaved across VCs;
-    many gaps are whole cell times, so arrivals often coincide with a
-    departure, and a zero gap puts several arrivals on one nanosecond."""
-    left = [0] * num_vcs
+    """(time, frame, k) arrivals of cell k of a frame, with frames of 1-8
+    cells interleaved across VCs; many gaps are whole cell times, so
+    arrivals often coincide with a departure, and a zero gap puts several
+    arrivals on one nanosecond."""
+    frame = [None] * num_vcs
+    k = [0] * num_vcs
     frames = 0
     t = 0
     trace = []
     for _ in range(n):
         t += rng.choice((0, 0, tx, tx, 2 * tx, rng.randrange(3 * tx)))
         vc = rng.randrange(num_vcs)
-        if left[vc] == 0:
-            left[vc] = rng.randint(1, 8)
-        left[vc] -= 1
-        if left[vc]:
-            trace.append((t, Cell(vc, False, None)))
-        else:
+        if frame[vc] is None:
             frames += 1
-            trace.append((t, Cell(vc, True, Segment(vc, 1, frames, 0, None))))
+            frame[vc] = make_frame(vc, rng.randint(1, 8), seq=frames)
+            k[vc] = 0
+        trace.append((t, frame[vc], k[vc]))
+        k[vc] += 1
+        if k[vc] == frame[vc].n:
+            frame[vc] = None
     return trace
 
 
@@ -207,12 +215,13 @@ def test_lazy_port_matches_event_driven_oracle(policy, capacity, seed):
     slow = EventDrivenPort(slow_sim, 45e6, capacity, policy, num_vcs)
     slow.egress = [EgressRecorder(slow.tx_ns) for _ in range(num_vcs)]
     ties = 0
-    for t, cell in random_cell_trace(random.Random(seed), num_vcs, 9422, 4000):
+    for t, frame, k in random_cell_trace(random.Random(seed), num_vcs, 9422,
+                                         4000):
         fast_sim.run_until(t)
         slow_sim.run_until(t)                # completions at t fire first
         ties += bool(fast.queue) and fast.queue[0][0] == t
-        fast.on_cell([cell], 0, 1, 0)        # a run of one cell
-        slow.on_cell(cell)
+        fast.on_cell(frame, k, k + 1, 0)     # a run of one cell
+        slow.on_cell(*cell_of(frame, k))
     assert ties > 0
     assert fast.drop_log == slow.drop_log
     assert len(fast.drop_log) > 0
@@ -229,7 +238,7 @@ def test_lazy_port_matches_event_driven_oracle(policy, capacity, seed):
 
 class Tap:
     """Port stand-in between IngressLinks and a port: logs each run's cells
-    with their own arrival times, then hands the run on."""
+    as (arrival time, frame, k), then hands the run on."""
 
     def __init__(self, sim, port):
         self.sim = sim
@@ -238,13 +247,13 @@ class Tap:
         self.ties = 0  # runs that arrive just as the head block's cell departs
         self.blocks = 0  # runs admitted as one block of several cells
 
-    def on_cell(self, items, i, j, step):
+    def on_cell(self, frame, i, j, step):
         t = self.sim.now - (j - 1 - i) * step
-        self.arrivals += ((t + (k - i) * step, items[k]) for k in range(i, j))
+        self.arrivals += ((t + (k - i) * step, frame, k) for k in range(i, j))
         q = self.port.queue
         self.ties += bool(q) and q[0][0] == t
         tail = q[-1] if q else None
-        self.port.on_cell(items, i, j, step)
+        self.port.on_cell(frame, i, j, step)
         self.blocks += bool(q) and q[-1] is not tail and q[-1][1] > 1
 
 
@@ -270,8 +279,8 @@ def test_block_port_fed_by_ingress_trains_matches_event_driven_oracle(
     for frame in range(1500):
         t += access_tx * rng.choice((0, 0, 1, 3, rng.randrange(40)))
         vc = rng.randrange(num_vcs)
-        cells = frame_cells(vc, rng.randint(1, max_frame), seq=frame)
-        fast_sim.schedule(t, lambda c, link=links[vc]: link.offer_frame(c), cells)
+        fast_sim.schedule(t, links[vc].offer_frame,
+                          make_frame(vc, rng.randint(1, max_frame), seq=frame))
     fast_sim.run_until(t + 10 ** 9)
     fast._complete(fast_sim.now)
 
@@ -279,10 +288,10 @@ def test_block_port_fed_by_ingress_trains_matches_event_driven_oracle(
     slow = EventDrivenPort(slow_sim, port_rate, capacity, policy, num_vcs)
     slow.egress = [EgressRecorder(slow.tx_ns) for _ in range(num_vcs)]
     same_ns = 0
-    for k, (t, cell) in enumerate(tap.arrivals):
+    for a, (t, frame, k) in enumerate(tap.arrivals):
         slow_sim.run_until(t)                # completions at t fire first
-        slow.on_cell(cell)
-        same_ns += k > 0 and tap.arrivals[k - 1][0] == t
+        slow.on_cell(*cell_of(frame, k))
+        same_ns += a > 0 and tap.arrivals[a - 1][0] == t
     slow_sim.run_until(t + 10 ** 9)
 
     assert fast.tx_ns == 3 * access_tx
@@ -303,18 +312,20 @@ def test_ingress_link_paces_and_delays_cells():
     arrivals = []
 
     class PortStub:
-        def on_cell(self, items, i, j, step):
-            arrivals.extend((sim.now - (j - 1 - k) * step, items[k])
+        def on_cell(self, frame, i, j, step):
+            arrivals.extend((sim.now - (j - 1 - k) * step, frame, k)
                             for k in range(i, j))
 
     link = IngressLink(sim, PortStub(), 149.76e6, prop_ns=5000)
-    seg = Segment(0, 1, 0, 100, None)
+    seg = Segment(0, 100, None)
     link.offer_frame(segment_to_cells(0, seg))         # 4 cells
     link.offer_frame(segment_to_cells(0, seg))         # queued behind
     sim.run_until(10 ** 9)
     tx = 2831
-    assert [t for t, _ in arrivals] == [tx * k + 5000 for k in range(1, 9)]
-    assert arrivals[3][1].eom and arrivals[3][1].seg == seg
+    assert [t for t, _, _ in arrivals] == [tx * k + 5000 for k in range(1, 9)]
+    assert [k for _, _, k in arrivals] == [0, 1, 2, 3] * 2
+    _, frame, k = arrivals[3]
+    assert cell_of(frame, k) == (0, seg)               # the first eom cell
 
 
 def test_egress_link_delivers_intact_frames_at_arrival_time():
@@ -323,10 +334,10 @@ def test_egress_link_delivers_intact_frames_at_arrival_time():
     link = EgressLink(sim, 149.76e6, bottleneck_prop_ns=5_000_000,
                       access_prop_ns=5000, reassembler=Reassembler(),
                       deliver=lambda seg: delivered.append((sim.now, seg)))
-    seg = Segment(0, 1, 0, 100, None)
-    cells = segment_to_cells(0, seg)
+    seg = Segment(0, 100, None)
+    frame = segment_to_cells(0, seg)
     # the 4 cells leave a 45 Mbps port back to back, the last at 4 * 9422
-    link.offer(cells[-1], len(cells), 4 * 9422)
+    link.offer(frame.seg, frame.n, 4 * 9422)
     sim.run_until(10 ** 9)
     assert delivered == [(4 * 9422 + 5_000_000 + 2831 + 5000, seg)]
 
@@ -337,11 +348,11 @@ def test_egress_link_drops_frame_missing_a_cell():
     reasm = Reassembler()
     link = EgressLink(sim, 149.76e6, 5_000_000, 5000, reasm,
                       lambda seg: delivered.append(seg))
-    seg = Segment(0, 1, 0, 100, None)
-    cells = segment_to_cells(0, seg)
-    link.offer(cells[-1], len(cells) - 1, 3 * 9422)  # a body cell lost upstream
-    good = Segment(0, 1, 1, 100, None)
-    link.offer(Cell(0, True, good), len(cells), 7 * 9422)
+    seg = Segment(0, 100, None)
+    frame = segment_to_cells(0, seg)
+    link.offer(frame.seg, frame.n - 1, 3 * 9422)  # a body cell lost upstream
+    good = Segment(1, 100, None)
+    link.offer(good, frame.n, 7 * 9422)
     sim.run_until(10 ** 9)
     assert delivered == [good]
     assert reasm.frames_corrupt == 1

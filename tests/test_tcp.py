@@ -48,8 +48,8 @@ def make_pair(flavor, mss=MSS, rcv_wnd=1_000_000, ssthresh=1_000_000,
               delay_ms=RTT_MS // 2):
     sim = Simulator()
     params = TcpParams(mss=mss, rcv_wnd=rcv_wnd, init_ssthresh=ssthresh)
-    sender = TcpEndpoint(sim, 0, 1, flavor, params, None)
-    receiver = TcpEndpoint(sim, 0, 0, flavor, params, None)
+    sender = TcpEndpoint(sim, flavor, params, None)
+    receiver = TcpEndpoint(sim, flavor, params, None)
     wire = Wire(sim, delay_ms * NS_PER_MS)
     sender.transmit = wire.tx(receiver)
     receiver.transmit = wire.tx(sender)
@@ -247,7 +247,7 @@ def test_ack_beyond_snd_nxt_is_a_protocol_error():
     a.write(MSS)
     sim.run_until(NS_PER_SEC)
     before = (a.snd_una, a.cwnd)
-    a.on_frame(Segment(0, 0, 0, 0, 10 * MSS))
+    a.on_frame(Segment(0, 0, 10 * MSS))
     assert a.protocol_errors == 1
     assert (a.snd_una, a.cwnd) == before
 
@@ -272,10 +272,10 @@ def test_receiver_merges_out_of_order_ranges_and_orders_sack_blocks():
     sim = Simulator()
     params = TcpParams(mss=MSS, rcv_wnd=1_000_000, init_ssthresh=1_000_000)
     acks = []
-    r = TcpEndpoint(sim, 0, 0, SACK, params, lambda seg: acks.append(seg))
+    r = TcpEndpoint(sim, SACK, params, lambda seg: acks.append(seg))
 
     def arrive(seq):
-        r.on_frame(Segment(0, 1, seq, MSS, None))
+        r.on_frame(Segment(seq, MSS, None))
 
     arrive(1000)
     arrive(3000)
@@ -295,8 +295,8 @@ def test_receiver_drops_data_beyond_its_window():
     sim = Simulator()
     params = TcpParams(mss=MSS, rcv_wnd=2 * MSS, init_ssthresh=1_000_000)
     acks = []
-    r = TcpEndpoint(sim, 0, 0, RENO, params, lambda seg: acks.append(seg))
-    r.on_frame(Segment(0, 1, 5 * MSS, MSS, None))
+    r = TcpEndpoint(sim, RENO, params, lambda seg: acks.append(seg))
+    r.on_frame(Segment(5 * MSS, MSS, None))
     assert r.window_drops == 1
     assert r._ooo == []
     assert acks[-1].ack == 0
@@ -330,4 +330,4 @@ def test_unknown_flavor_rejected():
     sim = Simulator()
     params = TcpParams(mss=MSS, rcv_wnd=1000, init_ssthresh=1000)
     with pytest.raises(ValueError):
-        TcpEndpoint(sim, 0, 0, "cubic", params, lambda s: None)
+        TcpEndpoint(sim, "cubic", params, lambda s: None)
