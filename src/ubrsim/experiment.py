@@ -13,14 +13,15 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
+from dataclasses import fields
 from functools import partial
 from traceback import format_exc
 
 from .netsim import CSV_COLUMNS, RunResult, run_cell
 from .scenarios import Scenario, grid
 
-_FLOAT_COLUMNS = {"scale", "duration_s", "efficiency", "fairness",
-                  "goodput_bps", "offered_bps"}
+# annotations are strings here: netsim postpones their evaluation
+_FLOAT_COLUMNS = {f.name for f in fields(RunResult) if f.type == "float"}
 
 
 def run_cell_safe(spec, log_drops: bool = False) -> RunResult:
@@ -34,16 +35,14 @@ def run_cell_safe(spec, log_drops: bool = False) -> RunResult:
 def _error_row(spec, exc: BaseException, traceback: str) -> RunResult:
     """The row of a cell that failed with `exc`."""
     sc = spec.scenario
-    return RunResult(
+    row = {col: math.nan if col in _FLOAT_COLUMNS else 0 for col in CSV_COLUMNS}
+    row.update(
         delay_class=sc.delay_class, drop_policy=spec.drop_policy,
         tcp_flavor=spec.tcp_flavor, buffer_rtt=spec.buffer_rtt,
         buffer_cells=spec.buffer_cells, seed=sc.seed, scale=sc.scale,
         connections=sc.connections, duration_s=sc.duration_s,
-        efficiency=math.nan, fairness=math.nan, goodput_bps=math.nan,
-        offered_bps=math.nan, cells_in=0, cells_out=0, cells_dropped=0,
-        rev_cells_dropped=0, frames_corrupt=0, timeouts=0,
-        fast_recoveries=0, rexmit_segs=0, events=0,
         status=f"error: {type(exc).__name__}: {exc}", traceback=traceback)
+    return RunResult(**row)
 
 
 def _pool_result(job, future, spec) -> RunResult:

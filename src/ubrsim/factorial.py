@@ -15,6 +15,9 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+from .scenarios import BUFFER_LEVELS, POLICIES
+from .tcp import FLAVORS
+
 
 class AnalysisError(ValueError):
     """Raised for malformed or incomplete experiment matrices."""
@@ -46,9 +49,9 @@ class Factor:
 
 
 DEFAULT_DESIGN = (
-    Factor("tcp_flavor", ("vanilla", "reno", "newreno", "sack")),
-    Factor("buffer_rtt", ("0.5", "1", "2")),
-    Factor("drop_policy", ("epd", "sd")),
+    Factor("tcp_flavor", FLAVORS),
+    Factor("buffer_rtt", BUFFER_LEVELS),
+    Factor("drop_policy", POLICIES),
 )
 
 

@@ -10,7 +10,7 @@ links are overprovisioned and lossless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .aal5 import Reassembler, Segment, segment_to_cells
 from .kernel import Simulator, seconds
@@ -53,12 +53,8 @@ class RunResult:
     traceback: str = field(default="", repr=False)  # of a crashed cell
 
 
-CSV_COLUMNS = ("delay_class", "drop_policy", "tcp_flavor", "buffer_rtt",
-               "buffer_cells", "seed", "scale", "connections", "duration_s",
-               "efficiency", "fairness", "goodput_bps", "offered_bps",
-               "cells_in", "cells_out", "cells_dropped", "rev_cells_dropped",
-               "frames_corrupt", "timeouts", "fast_recoveries", "rexmit_segs",
-               "events", "status")
+# a results row holds every field that repr shows, in field order
+CSV_COLUMNS = tuple(f.name for f in fields(RunResult) if f.repr)
 
 
 def _make_transmit(vc: int, ingress: IngressLink):

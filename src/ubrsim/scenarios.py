@@ -104,16 +104,19 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
     if delay_class not in DELAY_CLASSES:
         raise ValueError(f"unknown delay class {delay_class!r}; "
                          f"choose from {', '.join(DELAY_CLASSES)}")
+    # each message starts with its key: config files report that key's line
     if not 0 < scale <= 1:
         raise ValueError(f"scale must be in (0, 1], got {scale}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     dc = DELAY_CLASSES[delay_class]
     bw = BOTTLENECK_BPS * scale
     conns = connections if connections is not None else _default_connections(scale)
     if conns < 1:
-        raise ValueError("need at least one connection")
+        raise ValueError(f"connections must be at least 1, got {conns}")
     duration = DEFAULT_DURATION_S if duration_s is None else duration_s
     if duration <= 0:
-        raise ValueError("duration must be positive")
+        raise ValueError(f"duration_s must be positive, got {duration}")
     rtt_s = 2 * dc.one_way_ms / 1000.0
     ssthresh = initial_ssthresh(rtt_s, bw)
     target = rtt_s * bw / 8
@@ -125,10 +128,9 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
         buffers = tuple(table[level] for level in BUFFER_LEVELS)
     else:
         buffers = tuple(int(b) for b in buffers)
-        if len(buffers) != len(BUFFER_LEVELS):
-            raise ValueError(f"need {len(BUFFER_LEVELS)} buffer sizes")
-        if any(b <= 0 for b in buffers):
-            raise ValueError("buffer sizes must be positive")
+        if len(buffers) != len(BUFFER_LEVELS) or any(b <= 0 for b in buffers):
+            raise ValueError(f"buffers must be {len(BUFFER_LEVELS)} positive "
+                             f"buffer sizes in cells, got {buffers}")
     return Scenario(
         delay_class=delay_class,
         scale=scale,

@@ -84,13 +84,12 @@ class TcpEndpoint:
         # --- sender ---
         self.snd_una = 0
         self.snd_nxt = 0              # high-water mark, never rewinds
-        self._cursor = 0              # next byte to (re)transmit
         self.app_bytes = 0            # total bytes the application wrote
         self.cwnd = float(params.mss)
         self.ssthresh = float(params.init_ssthresh)
         self._recs: list[SegRecord] = []
         self._base = 0                # index of first live record
-        self._cursor_i = 0
+        self._cursor_i = 0            # next record to (re)transmit
         self.dupacks = 0
         self.in_recovery = False
         self.recover = 0
@@ -140,15 +139,13 @@ class TcpEndpoint:
             return
         win = min(int(self.cwnd), self.params.rcv_wnd)
         while True:
-            if self._cursor < self.snd_nxt:
+            if self._cursor_i < len(self._recs):
                 rec = self._recs[self._cursor_i]
                 if self.flavor == SACK and rec.sacked:
-                    self._cursor = rec.end       # already delivered, skip
-                    self._cursor_i += 1
+                    self._cursor_i += 1          # already delivered, skip
                     continue
-                if self._cursor - self.snd_una + rec.end - rec.start > win:
+                if rec.end - self.snd_una > win:
                     return
-                self._cursor = rec.end
                 self._cursor_i += 1
                 self._emit(rec, True)
             elif not self._send_new(win):
@@ -166,7 +163,7 @@ class TcpEndpoint:
             return 0
         rec = SegRecord(self.snd_nxt, self.snd_nxt + size)
         self._recs.append(rec)
-        self.snd_nxt = self._cursor = rec.end
+        self.snd_nxt = rec.end
         self._cursor_i = len(self._recs)
         self._emit(rec, False)
         return size
@@ -194,10 +191,7 @@ class TcpEndpoint:
         while b < len(recs) and recs[b].end <= ack:
             b += 1
         self._base = b
-        if self._cursor < ack:
-            self._cursor = ack
-            self._cursor_i = b
-        elif self._cursor_i < b:
+        if self._cursor_i < b:
             self._cursor_i = b
         if b > 1024 and b * 2 > len(recs):
             del recs[:b]
@@ -381,8 +375,7 @@ class TcpEndpoint:
         self.in_recovery = False
         self.dupacks = 0
         self._timed_end = None                   # Karn
-        self._cursor = self.snd_una              # go-back-N from the hole
-        self._cursor_i = self._base
+        self._cursor_i = self._base              # go-back-N from the hole
         self._restart_timer()
         self._try_send()
 

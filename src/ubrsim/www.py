@@ -36,8 +36,11 @@ class TrafficParams:
     class_freqs: tuple = CLASS_FREQS
 
     def __post_init__(self):
-        # every message names the fields it judges; the config parser reports
+        # every message names the fields it judges; a config file reports
         # the error at the latest line that set one of them
+        if not self.request_bytes >= 1:
+            raise ValueError(f"request_bytes must be at least 1, "
+                             f"got {self.request_bytes}")
         if not self.batch_period_s > 0:
             raise ValueError(f"batch_period_s must be positive, "
                              f"got {self.batch_period_s}")
@@ -48,6 +51,10 @@ class TrafficParams:
         if len(self.class_bases) != len(self.class_freqs):
             raise ValueError("class_bases and class_freqs must have the same "
                              "length")
+        if not all(b > 0 for b in self.class_bases):
+            raise ValueError(f"class_bases must be positive, got {self.class_bases}")
+        if not all(f >= 0 for f in self.class_freqs):
+            raise ValueError(f"class_freqs must be nonnegative, got {self.class_freqs}")
         if abs(sum(self.class_freqs) - 1.0) > 1e-9:
             raise ValueError("class frequencies (class_freqs) must sum to 1")
 

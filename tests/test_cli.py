@@ -66,7 +66,7 @@ def test_run_drop_log_written_next_to_results(tmp_path):
 def test_run_rejects_bad_flags(tmp_path, capsys):
     rc = main(["run", "--delay-class", "wan", "--scale", "1.5", "--quiet"])
     assert rc == 1
-    assert "--scale must be in (0, 1]" in capsys.readouterr().err
+    assert "error: scale must be in (0, 1], got 1.5\n" == capsys.readouterr().err
     rc = main(["run", "--delay-class", "wan", "--workers", "0", "--quiet"])
     assert rc == 1
     assert "--workers" in capsys.readouterr().err

@@ -1,0 +1,25 @@
+"""README drift: the documented config keys and CSV columns are the code's."""
+
+import re
+from pathlib import Path
+
+from ubrsim.config import SCHEMA
+from ubrsim.netsim import CSV_COLUMNS
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def section(title: str) -> str:
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_config_table_lists_exactly_the_schema_keys():
+    rows = [line for line in section("Configuration files").splitlines()
+            if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(SCHEMA)
+
+
+def test_readme_column_list_is_csv_columns():
+    listed = re.search(r"Columns:\s*`([^`]*)`", section("Results CSV")).group(1)
+    assert tuple(re.split(r",\s*", listed)) == CSV_COLUMNS

@@ -150,3 +150,12 @@ def test_traffic_params_validation():
     for lo, hi in ((0.5, 0.5), (0.5, 0.1), (-0.1, 0.5)):
         with pytest.raises(ValueError, match="gap_max_s must exceed gap_min_s"):
             TrafficParams(gap_min_s=lo, gap_max_s=hi)
+    # a zero request would never complete at the server
+    with pytest.raises(ValueError, match="request_bytes must be at least 1, got 0"):
+        TrafficParams(request_bytes=0)
+    # a nonpositive class base would make some responses empty
+    with pytest.raises(ValueError, match=r"class_bases must be positive, got \(-100"):
+        TrafficParams(class_bases=(-100, 1000), class_freqs=(0.5, 0.5))
+    # frequencies that sum to 1 can still hold a negative probability
+    with pytest.raises(ValueError, match=r"class_freqs must be nonnegative, got \(1\.5"):
+        TrafficParams(class_bases=(100, 1000), class_freqs=(1.5, -0.5))
