@@ -51,15 +51,16 @@ def max_tcp_throughput(mss: int, link_bps: float) -> float:
 
 def segment_to_cells(vc: int, seg: Segment) -> Frame:
     """The frame that carries `seg` on `vc`, sized in cells."""
-    return Frame(vc, cells_for_segment(seg.length), seg)
+    # tuple.__new__: the same Frame without NamedTuple's Python-level __new__
+    return tuple.__new__(Frame, (vc, cells_for_segment(seg.length), seg))
 
 
 class Reassembler:
     """Per-VC AAL5 reassembly: counts cells, validates frames at eom.
 
     Frame boundaries are delimited by eom cells.  A frame is intact iff the
-    number of cells seen since the previous eom equals the cell count implied
-    by the segment length on the eom cell; otherwise the frame (and, when an
+    number of cells seen since the previous eom equals the cell count of the
+    frame whose eom cell closes it; otherwise the frame (and, when an
     eom cell itself was lost, the bytes merged from the next frame) is
     silently discarded, and the cells already received count as wasted.
     """
@@ -76,11 +77,12 @@ class Reassembler:
         """Tally n body cells of the current frame."""
         self.count += n
 
-    def eom(self, seg: Segment) -> bool:
-        """Close the frame at its eom cell; True if it arrived intact."""
+    def eom(self, n: int) -> bool:
+        """Close the frame at its eom cell, that of an n-cell frame; True if
+        it arrived intact."""
         got = self.count + 1
         self.count = 0
-        if got == cells_for_segment(seg.length):
+        if got == n:
             self.frames_ok += 1
             return True
         self.frames_corrupt += 1

@@ -16,6 +16,13 @@ as one event, so the firing order and `events_processed` are exactly those
 of n separate `schedule` calls, provided that only the last member of a run
 schedules anything.  Since `now` is the run's last time, `schedule` refuses
 any event an earlier member would put inside the run.
+
+A `Timer` from `timer(fn)` is a deadline that is reset far more often than it
+expires.  Each `set(at)` takes a sequence number as `schedule` does, and fn()
+runs at the key of the last `set` before it expires, so handlers fire in the
+order of one `schedule` per `set` with every superseded one ignored.  The
+timer keeps one heap entry, not one per `set`: only an entry that is due, or
+one that a later `set` moved to an earlier deadline, pops before its key.
 """
 
 from __future__ import annotations
@@ -210,6 +217,10 @@ class Simulator:
             heappush(heap, (last + step, seq, self._fire_train,
                             (fn, arg, j, n, step, seq)))
 
+    def timer(self, fn) -> Timer:
+        """A restartable timer that calls fn() at its deadline."""
+        return Timer(self, fn)
+
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
@@ -230,3 +241,59 @@ class Simulator:
         self.events_processed += n
         if end > self.now:
             self.now = end
+
+
+class Timer:
+    """A restartable deadline with at most one heap entry between resets.
+
+    `set(at)` takes the next sequence number, so the live key (at, seq) is
+    exactly the one `schedule` would give.  It pushes an entry only when none
+    is pending or the live key is earlier than the pending one; an entry that
+    pops before the live key pushes the timer again at it, unless an entry
+    of its own still pending comes first.  Entries of a cancelled timer are
+    dropped as they pop.
+    """
+
+    __slots__ = ("_sim", "_fn", "_at", "_seq", "armed", "_pending")
+
+    def __init__(self, sim: Simulator, fn):
+        self._sim = sim
+        self._fn = fn
+        self._at = self._seq = 0  # the live key, while armed
+        self.armed = False
+        self._pending: list = []  # keys of this timer's heap entries, earliest last
+
+    def set(self, at: int) -> None:
+        """Call fn() at `at` (ns), superseding any earlier setting."""
+        sim = self._sim
+        if at < sim.now:
+            raise SchedulingError(f"timer set at t={at} ns before now={sim.now} ns")
+        self._seq = seq = sim._seq
+        sim._seq = seq + 1
+        self._at = at
+        self.armed = True
+        pending = self._pending
+        # a later sequence number: the new key is earlier only by its time
+        if not pending or at < pending[-1][0]:
+            self._push(at, seq)
+
+    def cancel(self) -> None:
+        """Disarm: fn() does not run until the timer is set again."""
+        self.armed = False
+
+    def _push(self, at: int, seq: int) -> None:
+        self._pending.append((at, seq))
+        heappush(self._sim._heap, (at, seq, self._fire, None))
+
+    def _fire(self, _) -> None:
+        # the earliest of this timer's entries pops
+        pending = self._pending
+        key = pending.pop()
+        if not self.armed:
+            return
+        live = (self._at, self._seq)
+        if key == live:
+            self.armed = False
+            self._fn()
+        elif not pending or pending[-1] > live:
+            self._push(*live)

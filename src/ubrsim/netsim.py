@@ -177,7 +177,7 @@ class Topology:
         self.sim.clear()
         self.forward.egress = self.reverse.egress = None
         for ep in self.servers + self.clients:
-            ep.app_recv = None
+            ep.app_recv = ep.timer = None
 
 
 def broken_connection_invariant(client: TcpEndpoint, server: TcpEndpoint,

@@ -107,14 +107,19 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
     # each message starts with its key: config files report that key's line
     if not 0 < scale <= 1:
         raise ValueError(f"scale must be in (0, 1], got {scale}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     dc = DELAY_CLASSES[delay_class]
     bw = BOTTLENECK_BPS * scale
     conns = connections if connections is not None else _default_connections(scale)
+    duration = DEFAULT_DURATION_S if duration_s is None else duration_s
+    # nan and inf pass the one-sided range tests below
+    for key, value in (("seed", seed), ("connections", conns),
+                       ("duration_s", duration)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if conns < 1:
         raise ValueError(f"connections must be at least 1, got {conns}")
-    duration = DEFAULT_DURATION_S if duration_s is None else duration_s
     if duration <= 0:
         raise ValueError(f"duration_s must be positive, got {duration}")
     rtt_s = 2 * dc.one_way_ms / 1000.0
@@ -127,10 +132,11 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
         table = buffer_table(delay_class, scale, conns)
         buffers = tuple(table[level] for level in BUFFER_LEVELS)
     else:
-        buffers = tuple(int(b) for b in buffers)
-        if len(buffers) != len(BUFFER_LEVELS) or any(b <= 0 for b in buffers):
+        if len(buffers) != len(BUFFER_LEVELS) or not all(
+                math.isfinite(b) and int(b) > 0 for b in buffers):
             raise ValueError(f"buffers must be {len(BUFFER_LEVELS)} positive "
-                             f"buffer sizes in cells, got {buffers}")
+                             f"buffer sizes in cells, got {tuple(buffers)}")
+        buffers = tuple(int(b) for b in buffers)
     return Scenario(
         delay_class=delay_class,
         scale=scale,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .aal5 import CELL_BYTES, Frame, Segment
+from .aal5 import CELL_BYTES, Frame
 from .kernel import Simulator
 
 EPD = "epd"
@@ -105,7 +105,7 @@ class PolicyPort:
         if q and q[0][0] <= t:
             self._complete(t)
         vc = frame.vc
-        eom = frame.seg if j == frame.n else None  # the segment, on the eom cell
+        eom = frame if j == frame.n else None  # the frame, on its eom cell
         self.cells_in += m
         state = self._state[vc]
         if state == _DISCARDING:
@@ -275,14 +275,14 @@ class EgressLink:
         self.delay_ns = bottleneck_prop_ns + cell_time_ns(rate_bps) + access_prop_ns
         self.cells_in = 0
 
-    def offer(self, seg: Segment | None, n: int, last_port_departure_ns: int) -> None:
-        """n cells of one frame; `seg` is its segment when the last of them
+    def offer(self, frame: Frame | None, n: int, last_port_departure_ns: int) -> None:
+        """n cells of one frame; `frame` is that frame when the last of them
         is its eom cell, else None."""
         self.cells_in += n
-        if seg is None:
+        if frame is None:
             self.reasm.body(n)
         else:
             self.reasm.body(n - 1)
-            if self.reasm.eom(seg):
+            if self.reasm.eom(frame.n):
                 self.sim.schedule(last_port_departure_ns + self.delay_ns,
-                                  self.deliver, seg)
+                                  self.deliver, frame.seg)

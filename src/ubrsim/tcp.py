@@ -98,8 +98,7 @@ class TcpEndpoint:
         self.rttvar = 0.0
         self.rto_ns = INIT_RTO_NS
         self.backoff = 0
-        self._timer_gen = 0
-        self._timer_on = False
+        self.timer = sim.timer(self._on_timer)
         self._timed_end = None        # seq end of the segment being timed
         self._timed_at = 0
         # --- receiver ---
@@ -130,7 +129,10 @@ class TcpEndpoint:
         elif self._timed_end is None:
             self._timed_end = rec.end
             self._timed_at = self.sim.now
-        self.transmit(Segment(rec.start, rec.end - rec.start, None))
+        # tuple.__new__ builds the same Segment without NamedTuple's
+        # Python-level __new__, on the path of every segment sent
+        self.transmit(tuple.__new__(Segment, (rec.start, rec.end - rec.start,
+                                              None, ())))
 
     def _try_send(self) -> None:
         """Window-gated transmission from the cursor; whole segments only."""
@@ -150,7 +152,7 @@ class TcpEndpoint:
                 self._emit(rec, True)
             elif not self._send_new(win):
                 return
-            if not self._timer_on:
+            if not self.timer.armed:
                 self._restart_timer()
 
     def _send_new(self, win: int) -> int:
@@ -209,9 +211,6 @@ class TcpEndpoint:
                 # partial ACK: next hole starts at the new snd_una
                 self._retransmit_head()
                 self.cwnd = max(self.cwnd - acked + p.mss, float(p.mss))
-                self._restart_timer()
-            else:  # SACK partial ACK
-                self._restart_timer()
         else:
             if self.cwnd < self.ssthresh:
                 self.cwnd += p.mss                 # slow start
@@ -221,7 +220,7 @@ class TcpEndpoint:
         if self.snd_una < self.snd_nxt:
             self._restart_timer()
         else:
-            self._stop_timer()
+            self.timer.cancel()
         self._try_send()
 
     def _on_dupack(self) -> None:
@@ -323,14 +322,14 @@ class TcpEndpoint:
                 rec.rtx = True
                 self._emit(rec, True)
                 pipe += rec.end - rec.start
-                if not self._timer_on:
+                if not self.timer.armed:
                     self._restart_timer()
                 continue
             size = self._send_new(p.rcv_wnd)
             if not size:
                 return
             pipe += size
-            if not self._timer_on:
+            if not self.timer.armed:
                 self._restart_timer()
 
     # ------------------------------------------------------------- timeout
@@ -348,23 +347,11 @@ class TcpEndpoint:
         quantized = -(-int(raw) // g) * g        # round up to the granule
         self.rto_ns = min(max(quantized, MIN_GRANULES * g), MAX_RTO_NS)
 
-    def _effective_rto(self) -> int:
-        return min(self.rto_ns << self.backoff, MAX_RTO_NS)
-
     def _restart_timer(self) -> None:
-        self._timer_gen += 1
-        self._timer_on = True
-        self.sim.schedule(self.sim.now + self._effective_rto(),
-                          self._on_timer, self._timer_gen)
+        self.timer.set(self.sim.now + min(self.rto_ns << self.backoff, MAX_RTO_NS))
 
-    def _stop_timer(self) -> None:
-        self._timer_gen += 1
-        self._timer_on = False
-
-    def _on_timer(self, gen: int) -> None:
-        if gen != self._timer_gen:
-            return  # superseded or stopped
-        self._timer_on = False
+    def _on_timer(self) -> None:
+        """The retransmission timer expired."""
         if self.snd_una >= self.snd_nxt:
             return
         self.timeouts += 1
@@ -439,4 +426,5 @@ class TcpEndpoint:
         return tuple((r[0], r[1]) for r in ranges[:3])
 
     def _send_ack(self, dup_of=None) -> None:
-        self.transmit(Segment(0, 0, self.rcv_nxt, self._sack_blocks(dup_of)))
+        self.transmit(tuple.__new__(
+            Segment, (0, 0, self.rcv_nxt, self._sack_blocks(dup_of))))

@@ -11,6 +11,7 @@ multiplier 1..9.  The resulting mean response is 117.5 KB.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -37,7 +38,12 @@ class TrafficParams:
 
     def __post_init__(self):
         # every message names the fields it judges; a config file reports
-        # the error at the latest line that set one of them
+        # the error at the latest line that set one of them.  nan and inf
+        # pass one-sided range tests, so every number must be finite first
+        for key, value in vars(self).items():
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{key} must be finite, got {value}")
         if not self.request_bytes >= 1:
             raise ValueError(f"request_bytes must be at least 1, "
                              f"got {self.request_bytes}")

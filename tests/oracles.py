@@ -39,8 +39,8 @@ class EventDrivenPort:
 
     The reference for `ubrsim.switchport.PolicyPort`: the same buffer, drop
     policy and drop log, but arrivals come one cell at a time, as
-    on_cell(vc, seg) with seg the frame's segment on its eom cell and None
-    on a body cell, the buffer is drained by a completion event per cell,
+    on_cell(vc, frame) with the frame on its eom cell and None on a body
+    cell, the buffer is drained by a completion event per cell,
     and each cell is handed to egress as a run of one when its completion
     fires, with that time as its departure.  Tests follow the fast port's
     tie rule by running the kernel up to an arrival's time before delivering
@@ -71,8 +71,8 @@ class EventDrivenPort:
     def occupancy(self):
         return len(self.queue) - self._head
 
-    def on_cell(self, vc, seg):
-        eom = seg is not None
+    def on_cell(self, vc, frame):
+        eom = frame is not None
         state = self._state[vc]
         self.cells_in += 1
         if state == "discarding":
@@ -98,7 +98,7 @@ class EventDrivenPort:
                 return
             if eom:
                 self._state[vc] = "idle"
-        self.queue.append((vc, seg))
+        self.queue.append((vc, frame))
         if self.x_per_vc[vc] == 0:
             self.n_active += 1
         self.x_per_vc[vc] += 1
@@ -114,13 +114,13 @@ class EventDrivenPort:
         self._state[vc] = "idle" if eom else "discarding"
 
     def _complete(self, _=None):
-        vc, seg = self.queue[self._head]
+        vc, frame = self.queue[self._head]
         self._head += 1
         self.x_per_vc[vc] -= 1
         if self.x_per_vc[vc] == 0:
             self.n_active -= 1
         self.cells_out += 1
-        self.egress[vc].offer(seg, 1, self.sim.now)
+        self.egress[vc].offer(frame, 1, self.sim.now)
         if self.occupancy:
             self.sim.schedule(self.sim.now + self.tx_ns, self._complete)
         else:

@@ -43,19 +43,19 @@ def test_segment_to_cells_shape():
 
 
 def _cells(frame):
-    """The frame's cells in order: None for a body cell, the segment on the
+    """The frame's cells in order: None for a body cell, the frame on the
     eom cell."""
-    return [None] * (frame.n - 1) + [frame.seg]
+    return [None] * (frame.n - 1) + [frame]
 
 
 def _feed(reasm, cells):
     """Feed cells in order; return the segments of the frames judged intact."""
     intact = []
-    for seg in cells:
-        if seg is None:
+    for frame in cells:
+        if frame is None:
             reasm.body(1)
-        elif reasm.eom(seg):
-            intact.append(seg)
+        elif reasm.eom(frame.n):
+            intact.append(frame.seg)
     return intact
 
 
@@ -97,7 +97,8 @@ def test_lost_eom_cell_corrupts_the_following_frame_too():
 
 def test_eom_verdict_return_value():
     reasm = Reassembler()
-    seg = Segment(0, 40, None)
+    n = segment_to_cells(0, Segment(0, 40, None)).n
+    assert n == 2
     reasm.body(1)
-    assert reasm.eom(seg) is True
-    assert reasm.eom(seg) is False       # missing body cell this time
+    assert reasm.eom(n) is True
+    assert reasm.eom(n) is False         # missing body cell this time

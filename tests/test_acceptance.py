@@ -358,7 +358,7 @@ def test_criterion_6_mechanism_invariants(trend_runs):
             aal5_ok = False
             break
         reasm.body(frame.n - 1)
-        if not (reasm.eom(frame.seg) and frame.seg.length == length):
+        if not (reasm.eom(frame.n) and frame.seg.length == length):
             aal5_ok = False
             break
     aal5_ok = aal5_ok and reasm.frames_ok == 20_001 and reasm.cells_wasted == 0

@@ -1,5 +1,7 @@
 """Config file parsing: strict key=value handling with line-numbered errors."""
 
+import math
+
 import pytest
 
 from ubrsim.cli import main
@@ -168,10 +170,18 @@ BAD_INPUTS = [
     ("class_freqs", (1.5, -0.5), "1.5, -0.5", "class_bases = 100, 1000"),
     ("batch_period_s", 0.0, "0", "# line 1"),
 ]
+# float() converts "nan" and "inf", and each passes a one-sided range test
+NON_FINITE_INPUTS = [
+    ("duration_s", math.nan, "nan", "# line 1"),
+    ("duration_s", math.inf, "inf", "# line 1"),
+    ("batch_period_s", math.inf, "inf", "# line 1"),
+    ("gap_max_s", math.inf, "inf", "# line 1"),
+]
 
 
-@pytest.mark.parametrize("key,value,text,line1", BAD_INPUTS,
-                         ids=[case[0] for case in BAD_INPUTS])
+@pytest.mark.parametrize("key,value,text,line1", BAD_INPUTS + NON_FINITE_INPUTS,
+                         ids=[case[0] for case in BAD_INPUTS]
+                         + [f"{case[0]}={case[2]}" for case in NON_FINITE_INPUTS])
 def test_each_rule_fails_the_same_way_through_api_file_and_cli(
         key, value, text, line1, tmp_path, capsys):
     file_cfg = parse_config_text(f"{line1}\n{key} = {text}\n")

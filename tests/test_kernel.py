@@ -1,5 +1,6 @@
-"""Event kernel: ordering, error handling, RNG stream stability."""
+"""Event kernel: ordering, trains, timers, error handling, RNG stream stability."""
 
+import functools
 import itertools
 import math
 
@@ -181,6 +182,131 @@ def test_a_spawn_inside_a_run_raises():
     with pytest.raises(SchedulingError):
         sim.run_until(100)
     assert runs == [(25, "abcd")]
+
+
+class GenTimer:
+    """The idiom that `Simulator.timer` replaces: one `schedule` per set,
+    and a generation counter that turns every superseded event into a
+    no-op when it pops."""
+
+    def __init__(self, sim, fn):
+        self.sim, self.fn = sim, fn
+        self.gen = 0
+        self.armed = False
+
+    def set(self, at):
+        self.gen += 1
+        self.armed = True
+        self.sim.schedule(at, self._fire, self.gen)
+
+    def cancel(self):
+        self.gen += 1
+        self.armed = False
+
+    def _fire(self, gen):
+        if gen == self.gen:
+            self.armed = False
+            self.fn()
+
+
+# what a callback does, in order: set timer a to now + b, cancel timer a,
+# schedule an event at now + a, or a train of 3 members at now + a, b apart
+ACTIONS = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 1), st.integers(0, 6)),
+    st.tuples(st.just("cancel"), st.integers(0, 1), st.just(0)),
+    st.tuples(st.just("event"), st.integers(0, 6), st.just(0)),
+    st.tuples(st.just("train"), st.integers(0, 6), st.integers(0, 3)))
+
+
+def _drive_timers(use_timer, script, ends):
+    """Run `script` (the k-th callback does script[k]) with two timers; log
+    (now, label, both timers' armed flags) per callback and snapshot the log
+    at each end.  With the kernel's timers, check after every callback that
+    a timer holds one heap entry, plus at most one per earlier deadline, and
+    never two with one key."""
+    sim = Simulator()
+    fired = []
+    steps = iter(script)
+    op_ids = itertools.count()
+    timers = []
+    earlier = [0, 0]        # sets that moved a timer's deadline earlier
+    deadline = [None, None]
+
+    def log(label):
+        fired.append((sim.now, label, tuple(t.armed for t in timers)))
+
+    def act():
+        now = sim.now
+        for kind, a, b in next(steps, ()):
+            if kind == "set":
+                if deadline[a] is not None and now + b < deadline[a]:
+                    earlier[a] += 1
+                deadline[a] = now + b
+                timers[a].set(now + b)
+            elif kind == "cancel":
+                timers[a].cancel()
+            elif kind == "event":
+                sim.schedule(now + a, on_event, next(op_ids))
+            else:
+                sim.schedule_train(now + a, b, 3, on_run, next(op_ids))
+        if use_timer:
+            for t, extra in zip(timers, earlier):
+                own = [e[:2] for e in sim._heap
+                       if getattr(e[2], "__self__", None) is t]
+                assert len(own) <= 1 + extra
+                assert len(set(own)) == len(own)  # no key queued twice
+
+    def on_event(k):
+        log(("event", k))
+        act()
+
+    def on_run(k, i, j, step):
+        for m in range(i, j):
+            fired.append((sim.now - (j - 1 - m) * step, ("train", k, m)))
+        if j == 3:
+            act()  # only a train's last member acts
+
+    def on_timer(i):
+        log(("timer", i))
+        act()
+
+    make = sim.timer if use_timer else functools.partial(GenTimer, sim)
+    timers.extend(make(functools.partial(on_timer, i)) for i in range(2))
+    act()
+    snapshots = []
+    for end in ends:
+        sim.run_until(end)
+        snapshots.append((list(fired), sim.now))
+    return snapshots
+
+
+@given(st.lists(st.lists(ACTIONS, max_size=3), min_size=1, max_size=30),
+       st.lists(st.integers(0, 60), min_size=1, max_size=4).map(sorted))
+@settings(max_examples=400, deadline=None)
+def test_timer_fires_like_one_schedule_per_set(script, ends):
+    got = _drive_timers(True, script, ends)
+    assert got == _drive_timers(False, script, ends)
+
+
+def test_timer_reset_costs_no_event_and_cancel_drops_its_entry():
+    sim = Simulator()
+    fired = []
+    timer = sim.timer(lambda: fired.append(sim.now))
+    for at in (10, 20, 30):  # each later: the entry at 10 stays the only one
+        timer.set(at)
+    assert len(sim._heap) == 1
+    sim.run_until(100)
+    assert fired == [30] and not timer.armed
+    # the entry at 10 popped and moved to 30: two pops, not three
+    assert sim.events_processed == 2
+    timer.set(150)
+    timer.set(120)  # earlier: a second entry until the one at 150 pops
+    assert len(sim._heap) == 2
+    timer.cancel()
+    sim.run_until(200)
+    assert fired == [30] and sim._heap == [] and sim.events_processed == 4
+    with pytest.raises(SchedulingError):
+        timer.set(199)
 
 
 def test_schedule_train_in_the_past_raises():

@@ -15,17 +15,17 @@ from ubrsim.switchport import (DROP_FRAME_START, DROP_TAIL_OVERFLOW, EPD, SD,
 class EgressRecorder:
     """Stands in for an EgressLink: records each offered cell as its port
     departure time and, on an eom cell, its frame's segment, or None for a
-    body cell."""
+    body cell; the eom cell's run is offered with its frame."""
 
     def __init__(self, tx_ns):
         self.tx_ns = tx_ns
         self.cells = []
         self.departures = []
 
-    def offer(self, seg, n, last_port_departure_ns):
+    def offer(self, frame, n, last_port_departure_ns):
         first = last_port_departure_ns - (n - 1) * self.tx_ns
         self.departures += range(first, last_port_departure_ns + 1, self.tx_ns)
-        self.cells += [None] * (n - 1) + [seg]
+        self.cells += [None] * (n - 1) + [frame.seg if frame else None]
 
 
 def make_port(policy, capacity=1000, num_vcs=4, rate=45e6, log=True):
@@ -40,9 +40,9 @@ def make_frame(vc, ncells, seq=0):
 
 
 def cell_of(frame, k):
-    """Cell k of a frame as the oracle port takes it: (vc, seg), with the
-    frame's segment on its eom cell and None on a body cell."""
-    return frame.vc, frame.seg if k == frame.n - 1 else None
+    """Cell k of a frame as the oracle port takes it: (vc, frame) on its eom
+    cell, (vc, None) on a body cell."""
+    return frame.vc, frame if k == frame.n - 1 else None
 
 
 def feed_frame(port, vc, ncells, seq=0):
@@ -325,7 +325,8 @@ def test_ingress_link_paces_and_delays_cells():
     assert [t for t, _, _ in arrivals] == [tx * k + 5000 for k in range(1, 9)]
     assert [k for _, _, k in arrivals] == [0, 1, 2, 3] * 2
     _, frame, k = arrivals[3]
-    assert cell_of(frame, k) == (0, seg)               # the first eom cell
+    assert cell_of(frame, k) == (0, frame)             # the first eom cell
+    assert frame.seg == seg
 
 
 def test_egress_link_delivers_intact_frames_at_arrival_time():
@@ -337,7 +338,7 @@ def test_egress_link_delivers_intact_frames_at_arrival_time():
     seg = Segment(0, 100, None)
     frame = segment_to_cells(0, seg)
     # the 4 cells leave a 45 Mbps port back to back, the last at 4 * 9422
-    link.offer(frame.seg, frame.n, 4 * 9422)
+    link.offer(frame, frame.n, 4 * 9422)
     sim.run_until(10 ** 9)
     assert delivered == [(4 * 9422 + 5_000_000 + 2831 + 5000, seg)]
 
@@ -350,9 +351,9 @@ def test_egress_link_drops_frame_missing_a_cell():
                       lambda seg: delivered.append(seg))
     seg = Segment(0, 100, None)
     frame = segment_to_cells(0, seg)
-    link.offer(frame.seg, frame.n - 1, 3 * 9422)  # a body cell lost upstream
+    link.offer(frame, frame.n - 1, 3 * 9422)  # a body cell lost upstream
     good = Segment(1, 100, None)
-    link.offer(good, frame.n, 7 * 9422)
+    link.offer(segment_to_cells(0, good), frame.n, 7 * 9422)
     sim.run_until(10 ** 9)
     assert delivered == [good]
     assert reasm.frames_corrupt == 1

@@ -1,5 +1,7 @@
 """WWW workload: class mix, response sizes, batch timing, offered load."""
 
+import math
+
 import pytest
 
 from ubrsim.kernel import NS_PER_SEC, RngStream, Simulator, seconds
@@ -159,3 +161,13 @@ def test_traffic_params_validation():
     # frequencies that sum to 1 can still hold a negative probability
     with pytest.raises(ValueError, match=r"class_freqs must be nonnegative, got \(1\.5"):
         TrafficParams(class_bases=(100, 1000), class_freqs=(1.5, -0.5))
+    # an infinite period or gap passes the order tests, then overflows the
+    # conversion to nanoseconds; an infinite request or class base ran
+    for key in ("request_bytes", "batch_period_s", "gap_min_s", "gap_max_s"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+                TrafficParams(**{key: value})
+    with pytest.raises(ValueError, match=r"^class_bases must be finite, got \(inf"):
+        TrafficParams(class_bases=(math.inf, 1000), class_freqs=(0.5, 0.5))
+    with pytest.raises(ValueError, match=r"^class_freqs must be finite, got \[nan"):
+        TrafficParams(class_bases=[100, 1000], class_freqs=[math.nan, 1.0])
