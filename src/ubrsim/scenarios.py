@@ -118,6 +118,8 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
             raise ValueError(f"{key} must be finite, got {value}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not isinstance(conns, int):
+        raise ValueError(f"connections must be an integer, got {conns}")
     if conns < 1:
         raise ValueError(f"connections must be at least 1, got {conns}")
     if duration <= 0:

@@ -4,9 +4,9 @@ Every cell arrival at an inter-switch output port counts as one event, and
 the drop policy is evaluated at frame boundaries against the live buffer
 state.  A frame is one `aal5.Frame(vc, n, seg)`, a kernel train of n cells
 whose eom cell n carries seg, and the port takes each run of due cells in
-one call: it judges the policy at the frame's first cell, admits a run that
-cannot fill the buffer as one block, and goes cell by cell only when the
-buffer limit is within the run's reach.
+one call: it judges the policy at the frame's first cell, admits the cells
+that find room as one block, and finds the cell that meets a full buffer,
+if any, in closed form.
 The ports and the lossless access links are all exact closed-form FIFO rate
 servers: a cell departs at max(arrival, previous departure) + 424/rate, with
 no per-cell transmission event.  A port retires the cells that have left
@@ -32,11 +32,6 @@ DROP_TAIL_OVERFLOW = "drop_tail_overflow"
 R = 0.8  # EPD threshold as a fraction of the buffer size K
 Z = 0.8  # Selective Drop factor on a VC's fair share
 
-# per-VC frame-walk states
-_IDLE = 0        # next cell starts a new frame
-_ADMITTING = 1
-_DISCARDING = 2
-
 
 def cell_time_ns(rate_bps: float) -> int:
     return round(CELL_BYTES * 8 * 1_000_000_000 / rate_bps)
@@ -58,8 +53,8 @@ class PolicyPort:
     EPD discards an arriving frame entirely when occupancy exceeds R*K.
     Selective Drop additionally requires the frame's VC to hold more than
     Z*X/N_a cells, i.e. more than its share among the N_a VCs currently
-    buffered.  Mid-frame arrivals that meet a full buffer are tail-dropped
-    and the rest of the frame, eom included, is discarded with them.
+    buffered.  Any other arrival that meets a full buffer is tail-dropped,
+    and the rest of its frame, eom included, is discarded with it.
 
     Cells arrive in runs of consecutive cells of one frame, `step` ns apart,
     and step never exceeds the port's cell time.  The cells a run admits
@@ -67,6 +62,10 @@ class PolicyPort:
     [first_departure_ns, count, vc] holding `occupancy` cells, and a run's
     admitted cells go to its VC's egress link in one call.  `_complete(now)`
     retires departed cells from the counters; every decision calls it first.
+    So a non-empty buffer is one busy period: its cells leave back to back,
+    the last at `_free_at`, which gives in closed form the first cell of a
+    run to find the buffer full.  A run carries its frame's boundaries: its
+    first cell is i == 0, its eom run ends at j == n.
     """
 
     def __init__(self, sim: Simulator, name: str, rate_bps: float, capacity: int,
@@ -86,7 +85,7 @@ class PolicyPort:
         self._free_at = 0  # departure time of the last admitted cell
         self.x_per_vc = [0] * num_vcs
         self.n_active = 0
-        self._state = [_IDLE] * num_vcs
+        self._dropping: list = [None] * num_vcs  # the frame each VC discards
         self.tail_drops = [0] * num_vcs  # DROP_TAIL_OVERFLOW verdicts per VC
         self.egress = [None] * num_vcs  # set by the topology builder
         self.cells_in = 0
@@ -97,83 +96,68 @@ class PolicyPort:
 
     def on_cell(self, frame: Frame, i: int, j: int, step: int) -> None:
         """Arrival of cells i..j-1 of `frame`, the last of them at now: the
-        policy at a frame's first cell, then admission, as one block when
-        the run cannot fill the buffer."""
+        policy at the frame's first cell, then one block of the cells that
+        find room, and a tail drop at the first cell that finds none."""
         m = j - i
         t = self.sim.now - (m - 1) * step  # arrival of cell i
         q = self.queue
         if q and q[0][0] <= t:
             self._complete(t)
         vc = frame.vc
-        eom = frame if j == frame.n else None  # the frame, on its eom cell
         self.cells_in += m
-        state = self._state[vc]
-        if state == _DISCARDING:
+        if self._dropping[vc] is frame:
             self.cells_dropped += m
-            if eom:
-                self._state[vc] = _IDLE
             return
         x = self.occupancy
         # first cell of a frame: the only place the policy may refuse it
-        if state == _IDLE and x > self.threshold and (
+        if i == 0 and x > self.threshold and (
                 self.policy == EPD
                 or sd_over_fair_share(self.x_per_vc[vc], x, self.n_active, Z)):
-            self._drop_frame(vc, DROP_FRAME_START, t, x, m, eom)
+            self._drop_frame(frame, DROP_FRAME_START, t, x, m)
             return
-        if x + m > self.capacity:
-            self._admit_until_full(vc, t, m, step, eom)
-            return
+        # cell k of the run, its earlier cells admitted, finds
+        # ceil((g + k*(tx - step)) / tx) cells buffered, which is K or more
+        # once k*(tx - step) > room; the run admits its cells before the
+        # first such cell a, or all m when its last cell finds room
         tx = self.tx_ns
-        dep = (t if t > self._free_at else self._free_at) + tx
-        last = self._free_at = dep + (m - 1) * tx
-        q.append([dep, m, vc])
-        self.occupancy = x + m
-        xi = self.x_per_vc[vc]
-        if xi == 0:
-            self.n_active += 1
-        self.x_per_vc[vc] = xi + m
-        self._state[vc] = _IDLE if eom else _ADMITTING
-        self.egress[vc].offer(eom, m, last)
-
-    def _admit_until_full(self, vc: int, t: int, m: int, step: int, eom) -> None:
-        # cell by cell, so that a tail drop hits the exact cell that finds
-        # the buffer full; the rest of the run goes with it
-        q = self.queue
-        tx = self.tx_ns
-        x_per_vc = self.x_per_vc
-        last = self._free_at
-        for n in range(m):
-            tn = t + n * step
-            if q and q[0][0] <= tn:
-                self._complete(tn)
-            x = self.occupancy
-            if x >= self.capacity:
-                self.tail_drops[vc] += 1
-                self._drop_frame(vc, DROP_TAIL_OVERFLOW, tn, x, m - n, eom)
-                eom = None
-                break
-            last = self._free_at = (tn if tn > last else last) + tx
-            q.append([last, 1, vc])
-            self.occupancy = x + 1
-            if x_per_vc[vc] == 0:
-                self.n_active += 1
-            x_per_vc[vc] += 1
+        free = self._free_at
+        g = free - t if free > t else 0
+        room = (self.capacity - 1) * tx - g
+        if room < 0:
+            a = 0
+        elif (m - 1) * (tx - step) <= room:
+            a = m
         else:
-            n = m
-            self._state[vc] = _IDLE if eom else _ADMITTING
-        if n:
-            self.egress[vc].offer(eom, n, last)
+            a = room // (tx - step) + 1
+        if a:
+            dep = t + g + tx
+            last = self._free_at = dep + (a - 1) * tx
+            q.append([dep, a, vc])
+            self.occupancy = x + a
+            xi = self.x_per_vc[vc]
+            if xi == 0:
+                self.n_active += 1
+            self.x_per_vc[vc] = xi + a
+            self.egress[vc].offer(
+                frame if a == m and j == frame.n else None, a, last)
+        if a < m:
+            t += a * step
+            self._complete(t)
+            self.tail_drops[vc] += 1
+            self._drop_frame(frame, DROP_TAIL_OVERFLOW, t, self.occupancy,
+                             m - a)
 
-    def _drop_frame(self, vc: int, verdict: str, t: int, x: int, n: int,
-                    eom) -> None:
+    def _drop_frame(self, frame: Frame, verdict: str, t: int, x: int,
+                    n: int) -> None:
         # the frame loses its cells from the one arriving at t onwards, n of
         # them in this run
+        vc = frame.vc
         self.cells_dropped += n
         self.frames_discarded += 1
         if self.drop_log is not None:
             self.drop_log.append(
                 (t, vc, verdict, x, self.x_per_vc[vc], self.n_active))
-        self._state[vc] = _IDLE if eom else _DISCARDING
+        self._dropping[vc] = frame
 
     def _complete(self, now: int) -> None:
         """Retire every buffered cell whose transmission ends by `now`."""
@@ -209,6 +193,9 @@ class PolicyPort:
             ("cell conservation", self.conservation_ok()),
             ("occupancy == cells in buffer blocks",
              sum(block[1] for block in self.queue) == held),
+            # the closed-form admission rests on this: one busy period
+            ("occupancy == cells left before _free_at",
+             held == max(0, -(-(self._free_at - self.sim.now) // self.tx_ns))),
             ("sum(x_per_vc) == occupancy", sum(x) == held),
             ("n_active == nonzero x_per_vc", self.n_active == len(x) - x.count(0)),
             ("egress cells_in == cells_out + occupancy",

@@ -352,8 +352,6 @@ class TcpEndpoint:
 
     def _on_timer(self) -> None:
         """The retransmission timer expired."""
-        if self.snd_una >= self.snd_nxt:
-            return
         self.timeouts += 1
         self._on_loss()
         self.cwnd = float(self.params.mss)

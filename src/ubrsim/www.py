@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .kernel import NS_PER_SEC, RngStream, Simulator
+from .kernel import RngStream, Simulator, seconds
 from .tcp import TcpEndpoint
 
 CLASS_BASES = (100, 1_000, 10_000, 100_000, 1_000_000)
@@ -106,10 +106,10 @@ class ClientApp:
         base = self.sim.now
         for _ in range(n):
             gap = self.gap_rng.uniform(p.gap_min_s, p.gap_max_s)
-            at = base + round(gap * NS_PER_SEC)
+            at = base + seconds(gap)
             if at < self.duration_ns:
                 self.sim.schedule(at, self._send_request, None)
-        nxt = base + round(p.batch_period_s * NS_PER_SEC)
+        nxt = base + seconds(p.batch_period_s)
         if nxt < self.duration_ns:
             self.sim.schedule(nxt, self._batch, None)
 
@@ -148,7 +148,7 @@ def offered_load_bps(master_seed: int, clients: int, duration_s: float,
     """
     params = params or TrafficParams()
     total = 0
-    horizon = round(duration_s * NS_PER_SEC)
+    horizon = seconds(duration_s)
     for c in range(clients):
         count_rng = RngStream(master_seed, f"request-count:{c}")
         size_rng = RngStream(master_seed, f"file-size:{c}")
@@ -157,5 +157,5 @@ def offered_load_bps(master_seed: int, clients: int, duration_s: float,
             n = count_rng.truncated_poisson(BATCH_MEAN, BATCH_MIN, BATCH_MAX)
             for _ in range(n):
                 total += draw_response_bytes(size_rng, params)
-            t += round(params.batch_period_s * NS_PER_SEC)
+            t += seconds(params.batch_period_s)
     return total * 8.0 / duration_s

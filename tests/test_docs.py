@@ -1,4 +1,5 @@
-"""README drift: the documented config keys and CSV columns are the code's."""
+"""README drift: the documented config keys, CSV columns and modules are the
+code's."""
 
 import re
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 from ubrsim.config import SCHEMA
 from ubrsim.netsim import CSV_COLUMNS
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def section(title: str) -> str:
@@ -23,3 +25,10 @@ def test_readme_config_table_lists_exactly_the_schema_keys():
 def test_readme_column_list_is_csv_columns():
     listed = re.search(r"Columns:\s*`([^`]*)`", section("Results CSV")).group(1)
     assert tuple(re.split(r",\s*", listed)) == CSV_COLUMNS
+
+
+def test_readme_layout_table_lists_exactly_the_modules():
+    listed = re.findall(r"^\| `ubrsim\.(\w+)` \|", section("Layout"), re.M)
+    modules = [p.stem for p in (ROOT / "src" / "ubrsim").glob("*.py")
+               if p.stem not in ("__init__", "__main__")]
+    assert sorted(listed) == sorted(modules)

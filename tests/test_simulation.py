@@ -64,6 +64,9 @@ def test_scenario_validation():
         build_scenario("wan", scale=1.5)
     with pytest.raises(ValueError, match="connection"):
         build_scenario("wan", connections=0)
+    # a fractional count would pass every range rule, then crash each cell
+    with pytest.raises(ValueError, match=r"^connections must be an integer"):
+        build_scenario("wan", scale=0.1, connections=1.5, duration_s=0.5)
     with pytest.raises(ValueError, match="duration"):
         build_scenario("wan", duration_s=0)
     with pytest.raises(ValueError, match="buffer sizes"):
@@ -124,6 +127,23 @@ def test_seed_changes_the_outcome():
     assert a.offered_bps != b.offered_bps
 
 
+def test_every_retransmission_timer_expiry_is_a_timeout(monkeypatch):
+    """The timer is cancelled whenever an ACK covers snd_nxt, so it never
+    fires with nothing outstanding, and each expiry is one timeout."""
+    outstanding = []
+    on_timer = TcpEndpoint._on_timer
+
+    def record(ep):
+        outstanding.append(ep.snd_una < ep.snd_nxt)
+        on_timer(ep)
+
+    monkeypatch.setattr(TcpEndpoint, "_on_timer", record)
+    rows = run_grid(tiny_scenario())
+    assert all(r.status == "ok" for r in rows)
+    assert all(outstanding)
+    assert len(outstanding) == sum(r.timeouts for r in rows) > 0
+
+
 def test_drop_log_capture():
     # small buffer and more load so the port actually discards frames
     sc = tiny_scenario(connections=4, duration_s=4.0)
@@ -181,6 +201,8 @@ PORT_CORRUPTIONS = [
      "occupancy == cells in buffer blocks"),
     (lambda topo: _bump(topo.reverse.egress[0].reasm, "frames_corrupt", 10**9),
      "frames_corrupt <= tail drops on each VC"),
+    (lambda topo: _bump(topo.reverse, "_free_at", 10**9),
+     "occupancy == cells left before _free_at"),
 ]
 # connection 0; the large bumps outlast any arrival at the final instant
 CONNECTION_CORRUPTIONS = [

@@ -257,18 +257,24 @@ class Tap:
         self.blocks += bool(q) and q[-1] is not tail and q[-1][1] > 1
 
 
-@pytest.mark.parametrize("policy", [EPD, SD])
-@pytest.mark.parametrize("max_frame, capacity", [(8, 8), (8, 20), (23, 23), (23, 60)])
-@pytest.mark.parametrize("seed", [1, 2])
+ORACLE_POLICIES = pytest.mark.parametrize("policy", [EPD, SD])
+ORACLE_BUFFERS = pytest.mark.parametrize(
+    "max_frame, capacity", [(8, 8), (8, 20), (23, 23), (23, 60)])
+ORACLE_SEEDS = pytest.mark.parametrize("seed", [1, 2])
+
+
+@ORACLE_POLICIES
+@ORACLE_BUFFERS
+@ORACLE_SEEDS
 def test_block_port_fed_by_ingress_trains_matches_event_driven_oracle(
-        policy, max_frame, capacity, seed):
+        policy, max_frame, capacity, seed, ratio=3):
     """Several VCs' IngressLinks feed the port as real kernel trains; the
     oracle port gets the same arrivals one cell at a time.  All times sit on
-    the access cell time's grid and the port's cell time is three of those,
+    the access cell time's grid and the port's cell time is `ratio` of those,
     so arrivals tie with each other and with departures."""
     num_vcs = 4
     access_tx = cell_time_ns(149.76e6)
-    port_rate = 424e9 / (3 * access_tx)
+    port_rate = 424e9 / (ratio * access_tx)
     fast_sim, fast = make_port(policy, capacity=capacity, num_vcs=num_vcs,
                                rate=port_rate)
     tap = Tap(fast_sim, fast)
@@ -294,9 +300,9 @@ def test_block_port_fed_by_ingress_trains_matches_event_driven_oracle(
         same_ns += a > 0 and tap.arrivals[a - 1][0] == t
     slow_sim.run_until(t + 10 ** 9)
 
-    assert fast.tx_ns == 3 * access_tx
+    assert fast.tx_ns == ratio * access_tx
     assert tap.blocks > 0 and tap.ties > 0 and same_ns > 0
-    assert sum(fast.tail_drops) > 0         # the cell-by-cell path dropped
+    assert sum(fast.tail_drops) > 0         # some runs met a full buffer
     assert fast.drop_log == slow.drop_log
     for f, s in zip(fast.egress, slow.egress):
         assert list(zip(f.departures, f.cells)) == list(zip(s.departures, s.cells))
@@ -305,6 +311,18 @@ def test_block_port_fed_by_ingress_trains_matches_event_driven_oracle(
     assert ([getattr(fast, c) for c in counters]
             == [getattr(slow, c) for c in counters])
     assert fast.cells_in == len(tap.arrivals)
+
+
+@ORACLE_POLICIES
+@ORACLE_BUFFERS
+@ORACLE_SEEDS
+def test_block_port_at_the_access_cell_time_matches_event_driven_oracle(
+        policy, max_frame, capacity, seed):
+    """The same check with the port as fast as the access links: a run's
+    cells arrive exactly one port cell time apart, so none of them finds
+    more cells buffered than the run's first cell did."""
+    test_block_port_fed_by_ingress_trains_matches_event_driven_oracle(
+        policy, max_frame, capacity, seed, ratio=1)
 
 
 def test_ingress_link_paces_and_delays_cells():
