@@ -192,12 +192,26 @@ def broken_connection_invariant(client: TcpEndpoint, server: TcpEndpoint,
         ("protocol_errors == 0", all(e.protocol_errors == 0 for e in ends)),
         ("window_drops == 0", all(e.window_drops == 0 for e in ends)),
         ("bytes_received == client rcv_nxt",
-         client_app.bytes_received == client.rcv_nxt))
+         client_app.bytes_received == client.rcv_nxt),
+        ("scoreboard spans snd_una..snd_nxt",
+         all(_scoreboard_spans_flight(e) for e in ends)),
+        ("timer armed iff snd_una < snd_nxt",
+         all(e.timer.armed == (e.snd_una < e.snd_nxt) for e in ends)))
     return next((name for name, ok in checks if not ok), None)
 
 
+def _scoreboard_spans_flight(ep: TcpEndpoint) -> bool:
+    """The records tile snd_una..snd_nxt exactly, with no gap or overlap."""
+    edge = ep.snd_una
+    for r in ep._recs:
+        if r.start != edge or r.end <= edge:
+            return False
+        edge = r.end
+    return edge == ep.snd_nxt
+
+
 def _tcp_state(ep: TcpEndpoint) -> str:
-    return (f"rcv_nxt={ep.rcv_nxt} snd_nxt={ep.snd_nxt} "
+    return (f"rcv_nxt={ep.rcv_nxt} snd_una={ep.snd_una} snd_nxt={ep.snd_nxt} "
             f"app_bytes={ep.app_bytes} protocol_errors={ep.protocol_errors} "
             f"window_drops={ep.window_drops}")
 

@@ -16,6 +16,9 @@ Flavors:
            cumulative ACK reaches the `recover` mark, one hole per RTT
   sack     + scoreboard of SACKed ranges, conservative pipe: transmits
            (retransmissions first) only while pipe < cwnd
+
+The sender's scoreboard holds one record per unacknowledged segment, from
+snd_una to snd_nxt; the ACK that covers a record drops it.
 """
 
 from __future__ import annotations
@@ -54,18 +57,16 @@ class TcpParams:
 
 
 class SegRecord:
-    __slots__ = ("start", "end", "sacked", "rtx", "lost")
+    __slots__ = ("start", "end", "sacked", "rtx")
 
     def __init__(self, start: int, end: int):
         self.start = start
         self.end = end
         self.sacked = False
         self.rtx = False    # retransmitted in the current recovery episode
-        self.lost = False
 
     def __repr__(self):
-        flags = "".join(f for f, on in
-                        (("S", self.sacked), ("R", self.rtx), ("L", self.lost)) if on)
+        flags = "".join(f for f, on in (("S", self.sacked), ("R", self.rtx)) if on)
         return f"<{self.start}:{self.end}{' ' + flags if flags else ''}>"
 
 
@@ -87,8 +88,7 @@ class TcpEndpoint:
         self.app_bytes = 0            # total bytes the application wrote
         self.cwnd = float(params.mss)
         self.ssthresh = float(params.init_ssthresh)
-        self._recs: list[SegRecord] = []
-        self._base = 0                # index of first live record
+        self._recs: list[SegRecord] = []  # the unacknowledged segments
         self._cursor_i = 0            # next record to (re)transmit
         self.dupacks = 0
         self.in_recovery = False
@@ -133,6 +133,8 @@ class TcpEndpoint:
         # Python-level __new__, on the path of every segment sent
         self.transmit(tuple.__new__(Segment, (rec.start, rec.end - rec.start,
                                               None, ())))
+        if not self.timer.armed:
+            self._restart_timer()
 
     def _try_send(self) -> None:
         """Window-gated transmission from the cursor; whole segments only."""
@@ -152,8 +154,6 @@ class TcpEndpoint:
                 self._emit(rec, True)
             elif not self._send_new(win):
                 return
-            if not self.timer.armed:
-                self._restart_timer()
 
     def _send_new(self, win: int) -> int:
         """Emit the next new segment if it fits `win` bytes above snd_una.
@@ -189,16 +189,11 @@ class TcpEndpoint:
         acked = ack - self.snd_una
         self.snd_una = ack
         recs = self._recs
-        b = self._base
+        b = 0
         while b < len(recs) and recs[b].end <= ack:
             b += 1
-        self._base = b
-        if self._cursor_i < b:
-            self._cursor_i = b
-        if b > 1024 and b * 2 > len(recs):
-            del recs[:b]
-            self._cursor_i -= b
-            self._base = 0
+        del recs[:b]
+        self._cursor_i = max(self._cursor_i - b, 0)
         self.backoff = 0
         if self._timed_end is not None and ack >= self._timed_end:
             self._rtt_sample(self.sim.now - self._timed_at)
@@ -206,10 +201,11 @@ class TcpEndpoint:
         p = self.params
         if self.in_recovery:
             if self.flavor == RENO or ack >= self.recover:
-                self._exit_recovery()              # deflate, episode over
+                self.cwnd = self.ssthresh          # deflate, episode over
+                self.in_recovery = False
             elif self.flavor == NEWRENO:
                 # partial ACK: next hole starts at the new snd_una
-                self._retransmit_head()
+                self._emit(recs[0], True)
                 self.cwnd = max(self.cwnd - acked + p.mss, float(p.mss))
         else:
             if self.cwnd < self.ssthresh:
@@ -230,11 +226,9 @@ class TcpEndpoint:
             return
         p = self.params
         if self.in_recovery:
-            if flavor == SACK:
-                self._sack_send()
-            else:
+            if flavor != SACK:
                 self.cwnd += p.mss                 # inflation
-                self._try_send()
+            self._try_send()
             return
         if self.dupacks != DUP_THRESH:
             return
@@ -246,11 +240,10 @@ class TcpEndpoint:
         self.fast_recoveries += 1
         if flavor == SACK:
             self.cwnd = self.ssthresh
-            self._sack_send()
         else:
-            self._retransmit_head()
+            self._emit(self._recs[0], True)
             self.cwnd = self.ssthresh + DUP_THRESH * p.mss
-            self._try_send()
+        self._try_send()
         self._restart_timer()
 
     def _on_loss(self) -> None:
@@ -262,17 +255,8 @@ class TcpEndpoint:
         flight = self.snd_nxt - self.snd_una
         self.ssthresh = float(max(flight // 2, 2 * self.params.mss))
         self.recover = self.snd_nxt
-        for i in range(self._base, len(self._recs)):
-            self._recs[i].rtx = False
-
-    def _exit_recovery(self) -> None:
-        self.cwnd = self.ssthresh
-        self.in_recovery = False
-        self.dupacks = 0
-
-    def _retransmit_head(self) -> None:
-        if self._base < len(self._recs):
-            self._emit(self._recs[self._base], True)
+        for r in self._recs:
+            r.rtx = False
 
     # ------------------------------------------------------------ SACK path
 
@@ -282,7 +266,7 @@ class TcpEndpoint:
         for lo, hi in sacks:
             if hi <= self.snd_una or lo >= self.snd_nxt:
                 continue
-            i = self._base
+            i = 0
             while i < n and recs[i].end <= lo:
                 i += 1
             while i < n and recs[i].start < hi:
@@ -290,47 +274,32 @@ class TcpEndpoint:
                 i += 1
 
     def _sack_send(self) -> None:
-        """Scoreboard pass: mark losses, compute pipe, send while pipe < cwnd."""
+        """Scoreboard pass: find losses, compute pipe, send while pipe < cwnd."""
         p = self.params
-        recs = self._recs
-        n = len(recs)
         thresh = DUP_THRESH * p.mss
         suffix = 0
         pipe = 0
-        candidates = []
-        for i in range(n - 1, self._base - 1, -1):
-            r = recs[i]
+        candidates = []                # lost, not yet retransmitted this episode
+        for r in reversed(self._recs):
             size = r.end - r.start
             if r.sacked:
                 suffix += size
-                continue
-            r.lost = suffix >= thresh
-            if r.lost:
-                if r.rtx:
-                    pipe += size
-                else:
-                    candidates.append(i)
+            elif suffix >= thresh and not r.rtx:
+                candidates.append(r)
             else:
                 pipe += size
-        candidates.reverse()
         cwnd_i = int(self.cwnd)
-        ci = 0
+        for rec in reversed(candidates):
+            if pipe >= cwnd_i:
+                return
+            rec.rtx = True
+            self._emit(rec, True)
+            pipe += rec.end - rec.start
         while pipe < cwnd_i:
-            if ci < len(candidates):
-                rec = recs[candidates[ci]]
-                ci += 1
-                rec.rtx = True
-                self._emit(rec, True)
-                pipe += rec.end - rec.start
-                if not self.timer.armed:
-                    self._restart_timer()
-                continue
             size = self._send_new(p.rcv_wnd)
             if not size:
                 return
             pipe += size
-            if not self.timer.armed:
-                self._restart_timer()
 
     # ------------------------------------------------------------- timeout
 
@@ -360,7 +329,7 @@ class TcpEndpoint:
         self.in_recovery = False
         self.dupacks = 0
         self._timed_end = None                   # Karn
-        self._cursor_i = self._base              # go-back-N from the hole
+        self._cursor_i = 0                       # go-back-N from the hole
         self._restart_timer()
         self._try_send()
 
@@ -380,7 +349,7 @@ class TcpEndpoint:
             self._send_ack()
             return
         if end <= self.rcv_nxt:
-            self._send_ack(dup_of=None)          # pure duplicate
+            self._send_ack()                     # pure duplicate
             return
         if start <= self.rcv_nxt:
             self.rcv_nxt = end
@@ -395,7 +364,7 @@ class TcpEndpoint:
             self._send_ack()
         else:
             self._insert_ooo(start, end)
-            self._send_ack(dup_of=(start, end))
+            self._send_ack()
 
     def _insert_ooo(self, start: int, end: int) -> None:
         self._stamp += 1
@@ -411,18 +380,14 @@ class TcpEndpoint:
             j += 1
         ooo[i:j] = [[start, end, self._stamp]]
 
-    def _sack_blocks(self, dup_of) -> tuple:
+    def _sack_blocks(self) -> tuple:
         if self.flavor != SACK or not self._ooo:
             return ()
+        # most recent first: _insert_ooo restamps the range holding the
+        # segment just received, so it leads, as RFC 2018 requires
         ranges = sorted(self._ooo, key=lambda r: -r[2])
-        if dup_of is not None:
-            s, e = dup_of
-            for k, r in enumerate(ranges):
-                if r[0] <= s and e <= r[1]:
-                    ranges.insert(0, ranges.pop(k))
-                    break
         return tuple((r[0], r[1]) for r in ranges[:3])
 
-    def _send_ack(self, dup_of=None) -> None:
+    def _send_ack(self) -> None:
         self.transmit(tuple.__new__(
-            Segment, (0, 0, self.rcv_nxt, self._sack_blocks(dup_of))))
+            Segment, (0, 0, self.rcv_nxt, self._sack_blocks())))

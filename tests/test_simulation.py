@@ -19,7 +19,7 @@ from ubrsim.kernel import Timer, seconds
 from ubrsim.netsim import CSV_COLUMNS, Topology, run_cell
 from ubrsim.scenarios import (BUFFER_LEVELS, DELAY_CLASSES, POLICIES, RunSpec,
                               build_scenario, buffer_table, grid)
-from ubrsim.tcp import FLAVORS, TcpEndpoint
+from ubrsim.tcp import FLAVORS, SegRecord, TcpEndpoint
 
 
 def tiny_scenario(delay_class="wan", seed=1, connections=2, duration_s=2.0):
@@ -218,6 +218,11 @@ CONNECTION_CORRUPTIONS = [
      "window_drops == 0"),
     (lambda topo: _bump(topo.client_apps[0], "bytes_received"),
      "bytes_received == client rcv_nxt"),
+    (lambda topo: topo.clients[0]._recs.append(SegRecord(10**18, 10**18 + 1)),
+     "scoreboard spans snd_una..snd_nxt"),
+    # the server still has data in flight when the run ends
+    (lambda topo: topo.servers[0].timer.cancel(),
+     "timer armed iff snd_una < snd_nxt"),
 ]
 
 

@@ -1,6 +1,7 @@
 """TCP flavors over a scripted wire: growth, recovery, timers, robustness."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -182,6 +183,30 @@ def test_sack_retransmits_all_holes_in_one_round_trip():
     assert b.rcv_nxt == 8 * MSS
 
 
+def test_sack_retransmits_a_lost_retransmission_in_the_next_episode():
+    # a twelve-segment flight loses segments 0 and 10; segment 12, sent in
+    # that recovery above its `recover` mark, is lost, retransmitted in the
+    # same episode and lost again
+    sim, a, b, wire = make_pair(SACK)
+    a.cwnd = 12 * MSS
+    lost = {(0, 1), (10, 1), (12, 1), (12, 2)}  # (segment, transmission)
+    sent = Counter()
+
+    def drop(seg, k):
+        sent[seg.seq] += 1
+        return (seg.seq // MSS, sent[seg.seq]) in lost
+
+    wire.drop_data = drop
+    a.write(36 * MSS)
+    sim.run_until(30 * NS_PER_SEC)
+    assert a.fast_recoveries == 2
+    assert a.timeouts == 0
+    # the second episode retransmits it again, well before the 3 s timer
+    times = [t // NS_PER_MS for t, seg in wire.data_sent if seg.seq == 12 * MSS]
+    assert times == [100, 200, 400]
+    assert b.rcv_nxt == 36 * MSS
+
+
 def test_sack_pipe_limits_retransmission_burst():
     # five consecutive losses, three survivors: enough dupacks to recover,
     # but pipe lets only cwnd/MSS retransmissions out at entry
@@ -289,6 +314,9 @@ def test_receiver_merges_out_of_order_ranges_and_orders_sack_blocks():
     assert acks[-1].ack == 4000
     assert acks[-1].sacks == ((7000, 8000), (5000, 6000))
     assert r.rcv_nxt == 4000
+    arrive(5000)   # a repeat: the range holding it comes first (RFC 2018)
+    assert acks[-1].ack == 4000
+    assert acks[-1].sacks == ((5000, 6000), (7000, 8000))
 
 
 def test_receiver_drops_data_beyond_its_window():
