@@ -17,7 +17,7 @@ from dataclasses import fields
 from functools import partial
 from traceback import format_exc
 
-from .netsim import CSV_COLUMNS, RunResult, run_cell
+from .netsim import CSV_COLUMNS, RunResult, row_identity, run_cell
 from .scenarios import Scenario, grid
 
 # annotations are strings here: netsim postpones their evaluation
@@ -34,14 +34,9 @@ def run_cell_safe(spec, log_drops: bool = False) -> RunResult:
 
 def _error_row(spec, exc: BaseException, traceback: str) -> RunResult:
     """The row of a cell that failed with `exc`."""
-    sc = spec.scenario
     row = {col: math.nan if col in _FLOAT_COLUMNS else 0 for col in CSV_COLUMNS}
-    row.update(
-        delay_class=sc.delay_class, drop_policy=spec.drop_policy,
-        tcp_flavor=spec.tcp_flavor, buffer_rtt=spec.buffer_rtt,
-        buffer_cells=spec.buffer_cells, seed=sc.seed, scale=sc.scale,
-        connections=sc.connections, duration_s=sc.duration_s,
-        status=f"error: {type(exc).__name__}: {exc}", traceback=traceback)
+    row.update(row_identity(spec), traceback=traceback,
+               status=f"error: {type(exc).__name__}: {exc}")
     return RunResult(**row)
 
 

@@ -87,7 +87,6 @@ class Scenario:
     bottleneck_prop_ns: int
     access_prop_ns: int
     init_ssthresh: int
-    wscale: int
     rcv_wnd: int
     buffers: tuple            # cells, aligned with BUFFER_LEVELS
     traffic: TrafficParams
@@ -116,10 +115,11 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
                        ("duration_s", duration)):
         if not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value}")
+    for key, value in (("seed", seed), ("connections", conns)):
+        if not isinstance(value, int):
+            raise ValueError(f"{key} must be an integer, got {value}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    if not isinstance(conns, int):
-        raise ValueError(f"connections must be an integer, got {conns}")
     if conns < 1:
         raise ValueError(f"connections must be at least 1, got {conns}")
     if duration <= 0:
@@ -134,11 +134,11 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
         table = buffer_table(delay_class, scale, conns)
         buffers = tuple(table[level] for level in BUFFER_LEVELS)
     else:
+        buffers = tuple(buffers)
         if len(buffers) != len(BUFFER_LEVELS) or not all(
-                math.isfinite(b) and int(b) > 0 for b in buffers):
+                isinstance(b, int) and b > 0 for b in buffers):
             raise ValueError(f"buffers must be {len(BUFFER_LEVELS)} positive "
-                             f"buffer sizes in cells, got {tuple(buffers)}")
-        buffers = tuple(int(b) for b in buffers)
+                             f"buffer sizes in cells, got {buffers}")
     return Scenario(
         delay_class=delay_class,
         scale=scale,
@@ -151,7 +151,6 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
         bottleneck_prop_ns=dc.one_way_ms * NS_PER_MS,
         access_prop_ns=ACCESS_PROP_NS,
         init_ssthresh=ssthresh,
-        wscale=wscale,
         rcv_wnd=BASE_WINDOW << wscale,
         buffers=buffers,
         traffic=traffic if traffic is not None else TrafficParams(),

@@ -91,7 +91,6 @@ class PolicyPort:
         self.cells_in = 0
         self.cells_out = 0
         self.cells_dropped = 0
-        self.frames_discarded = 0
         self.drop_log: list | None = [] if log_drops else None
 
     def on_cell(self, frame: Frame, i: int, j: int, step: int) -> None:
@@ -153,7 +152,6 @@ class PolicyPort:
         # them in this run
         vc = frame.vc
         self.cells_dropped += n
-        self.frames_discarded += 1
         if self.drop_log is not None:
             self.drop_log.append(
                 (t, vc, verdict, x, self.x_per_vc[vc], self.n_active))

@@ -391,3 +391,30 @@ class TcpEndpoint:
     def _send_ack(self) -> None:
         self.transmit(tuple.__new__(
             Segment, (0, 0, self.rcv_nxt, self._sack_blocks())))
+
+    # ---------------------------------------------------------- invariants
+
+    def broken_invariant(self) -> str | None:
+        """Name of the first invariant of this endpoint that fails, or None.
+
+        Each holds after every event; a topology checks them at its run's end.
+        """
+        recs = self._recs
+        edges = [self.snd_una] + [r.end for r in recs]
+        checks = (
+            ("protocol_errors == 0", self.protocol_errors == 0),
+            ("window_drops == 0", self.window_drops == 0),
+            # the records tile snd_una..snd_nxt, each non-empty
+            ("scoreboard spans snd_una..snd_nxt",
+             edges[-1] == self.snd_nxt
+             and all(r.start == lo < r.end for r, lo in zip(recs, edges))),
+            ("timer armed iff snd_una < snd_nxt",
+             self.timer.armed == (self.snd_una < self.snd_nxt)))
+        return next((name for name, ok in checks if not ok), None)
+
+    def state(self) -> str:
+        """The sequence numbers and error counters, for an error message."""
+        return (f"rcv_nxt={self.rcv_nxt} snd_una={self.snd_una} "
+                f"snd_nxt={self.snd_nxt} app_bytes={self.app_bytes} "
+                f"protocol_errors={self.protocol_errors} "
+                f"window_drops={self.window_drops}")

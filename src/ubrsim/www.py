@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .kernel import RngStream, Simulator, seconds
+from .kernel import RngStream, seconds
 from .tcp import TcpEndpoint
 
 CLASS_BASES = (100, 1_000, 10_000, 100_000, 1_000_000)
@@ -44,6 +44,11 @@ class TrafficParams:
             values = value if isinstance(value, (tuple, list)) else (value,)
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{key} must be finite, got {value}")
+        if not isinstance(self.request_bytes, int):
+            raise ValueError(f"request_bytes must be an integer, "
+                             f"got {self.request_bytes}")
+        if not all(isinstance(b, int) for b in self.class_bases):
+            raise ValueError(f"class_bases must be integers, got {self.class_bases}")
         if not self.request_bytes >= 1:
             raise ValueError(f"request_bytes must be at least 1, "
                              f"got {self.request_bytes}")
@@ -88,13 +93,13 @@ def draw_response_bytes(size_rng: RngStream, params: TrafficParams) -> int:
 class ClientApp:
     """Issues request batches and tallies the bytes received in responses."""
 
-    def __init__(self, sim: Simulator, tcp: TcpEndpoint, params: TrafficParams,
-                 count_rng: RngStream, gap_rng: RngStream, duration_ns: int):
-        self.sim = sim
+    def __init__(self, tcp: TcpEndpoint, params: TrafficParams, c: int,
+                 duration_ns: int):
+        self.sim = sim = tcp.sim
         self.tcp = tcp
         self.params = params
-        self.count_rng = count_rng
-        self.gap_rng = gap_rng
+        self.count_rng = sim.stream(f"request-count:{c}")
+        self.gap_rng = sim.stream(f"inter-request-gap:{c}")
         self.duration_ns = duration_ns
         self.bytes_received = 0
         tcp.app_recv = self._on_bytes
@@ -123,10 +128,10 @@ class ClientApp:
 class ServerApp:
     """Answers each complete 128-byte request with one drawn response."""
 
-    def __init__(self, tcp: TcpEndpoint, params: TrafficParams, size_rng: RngStream):
+    def __init__(self, tcp: TcpEndpoint, params: TrafficParams, c: int):
         self.tcp = tcp
         self.params = params
-        self.size_rng = size_rng
+        self.size_rng = tcp.sim.stream(f"file-size:{c}")
         self._pending = 0
         tcp.app_recv = self._on_bytes
 
@@ -143,8 +148,9 @@ def offered_load_bps(master_seed: int, clients: int, duration_s: float,
     """Generation-only estimate: mean response bytes scheduled per second.
 
     Replays the batch and size draws without any network, so it measures the
-    workload the clients would offer to an unconstrained path.  Stream ids
-    match the ones the simulator uses, so the draws line up run for run.
+    workload the clients would offer to an unconstrained path.  It opens the
+    stream ids that `ClientApp` and `ServerApp` above open for connection
+    `c`, so the draws line up run for run.
     """
     params = params or TrafficParams()
     total = 0

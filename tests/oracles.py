@@ -64,7 +64,6 @@ class EventDrivenPort:
         self.cells_in = 0
         self.cells_out = 0
         self.cells_dropped = 0
-        self.frames_discarded = 0
         self.drop_log = []
 
     @property
@@ -108,7 +107,6 @@ class EventDrivenPort:
 
     def _drop_frame(self, vc, eom, verdict, x):
         self.cells_dropped += 1
-        self.frames_discarded += 1
         self.drop_log.append(
             (self.sim.now, vc, verdict, x, self.x_per_vc[vc], self.n_active))
         self._state[vc] = "idle" if eom else "discarding"

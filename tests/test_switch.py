@@ -62,7 +62,7 @@ def test_epd_drops_new_frame_above_threshold():
     assert port.occupancy == 801
     feed_frame(port, 1, 5)
     assert port.occupancy == 801             # whole frame refused
-    assert port.frames_discarded == 1
+    assert len(port.drop_log) == 1
     assert port.cells_dropped == 5
     verdicts = {e[2] for e in port.drop_log}
     assert verdicts == {DROP_FRAME_START}
@@ -73,7 +73,7 @@ def test_epd_admits_new_frame_at_threshold_boundary():
     feed_frame(port, 0, 800)                 # occupancy == threshold, not above
     feed_frame(port, 1, 5)
     assert port.occupancy == 805
-    assert port.frames_discarded == 0
+    assert len(port.drop_log) == 0
 
 
 def test_sd_drop_requires_both_conditions():
@@ -83,13 +83,13 @@ def test_sd_drop_requires_both_conditions():
     assert port.occupancy == 900 and port.n_active == 4
     # fair share = 0.8 * 900 / 4 = 180; VC3 holds 200 > 180: dropped
     feed_frame(port, 3, 10)
-    assert port.frames_discarded == 1
+    assert len(port.drop_log) == 1
     t, vc, verdict, x, x_i, n_a = port.drop_log[0]
     assert (vc, verdict, x, x_i, n_a) == (3, DROP_FRAME_START, 900, 200, 4)
     assert sd_over_fair_share(x_i, x, n_a, Z)
     # VC2 holds 150 <= 180: admitted despite occupancy above threshold
     feed_frame(port, 2, 10)
-    assert port.frames_discarded == 1
+    assert len(port.drop_log) == 1
     assert port.occupancy == 910
 
 
@@ -230,8 +230,8 @@ def test_lazy_port_matches_event_driven_oracle(policy, capacity, seed):
     fast._complete(fast_sim.now)
     for f, s in zip(fast.egress, slow.egress):
         assert list(zip(f.departures, f.cells)) == list(zip(s.departures, s.cells))
-    counters = ("cells_in", "cells_out", "cells_dropped", "frames_discarded",
-                "occupancy", "n_active", "x_per_vc")
+    counters = ("cells_in", "cells_out", "cells_dropped", "occupancy",
+                "n_active", "x_per_vc")
     assert ([getattr(fast, c) for c in counters]
             == [getattr(slow, c) for c in counters])
 
@@ -306,8 +306,8 @@ def test_block_port_fed_by_ingress_trains_matches_event_driven_oracle(
     assert fast.drop_log == slow.drop_log
     for f, s in zip(fast.egress, slow.egress):
         assert list(zip(f.departures, f.cells)) == list(zip(s.departures, s.cells))
-    counters = ("cells_in", "cells_out", "cells_dropped", "frames_discarded",
-                "occupancy", "n_active", "x_per_vc")
+    counters = ("cells_in", "cells_out", "cells_dropped", "occupancy",
+                "n_active", "x_per_vc")
     assert ([getattr(fast, c) for c in counters]
             == [getattr(slow, c) for c in counters])
     assert fast.cells_in == len(tap.arrivals)

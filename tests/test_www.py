@@ -11,14 +11,16 @@ from ubrsim.www import (BATCH_MAX, BATCH_MEAN, BATCH_MIN, CLASS_BASES,
 
 
 class FakeTcp:
-    def __init__(self, sim=None):
+    """Stands in for a TcpEndpoint: the apps open their streams from its
+    `sim` and hand it their writes, which it records with their time."""
+
+    def __init__(self, sim):
         self.sim = sim
         self.app_recv = None
         self.writes = []
 
     def write(self, n):
-        t = self.sim.now if self.sim else 0
-        self.writes.append((t, n))
+        self.writes.append((self.sim.now, n))
 
 
 def test_class_table_shape():
@@ -78,8 +80,7 @@ def test_client_batches_follow_the_schedule():
     sim = Simulator(seed=3)
     tcp = FakeTcp(sim)
     p = TrafficParams()
-    ClientApp(sim, tcp, p, sim.stream("request-count:0"),
-              sim.stream("inter-request-gap:0"), seconds(30.5))
+    ClientApp(tcp, p, 0, seconds(30.5))
     sim.run_until(seconds(40))
     assert tcp.writes, "no requests issued"
     assert all(n == 128 for _, n in tcp.writes)
@@ -99,8 +100,7 @@ def test_no_requests_scheduled_past_duration():
     sim = Simulator(seed=5)
     tcp = FakeTcp(sim)
     p = TrafficParams()
-    ClientApp(sim, tcp, p, sim.stream("request-count:0"),
-              sim.stream("inter-request-gap:0"), seconds(10))
+    ClientApp(tcp, p, 0, seconds(10))
     sim.run_until(seconds(60))
     assert all(t < seconds(10) for t, _ in tcp.writes)
 
@@ -109,7 +109,7 @@ def test_server_answers_each_complete_request():
     sim = Simulator(seed=2)
     tcp = FakeTcp(sim)
     p = TrafficParams()
-    ServerApp(tcp, p, sim.stream("file-size:0"))
+    ServerApp(tcp, p, 0)
     tcp.app_recv(64)
     assert tcp.writes == []                 # half a request: no response yet
     tcp.app_recv(64)
@@ -121,8 +121,7 @@ def test_server_answers_each_complete_request():
 def test_client_counts_received_bytes():
     sim = Simulator(seed=6)
     tcp = FakeTcp(sim)
-    app = ClientApp(sim, tcp, TrafficParams(), sim.stream("request-count:0"),
-                    sim.stream("inter-request-gap:0"), seconds(1))
+    app = ClientApp(tcp, TrafficParams(), 0, seconds(1))
     tcp.app_recv(5000)
     tcp.app_recv(1234)
     assert app.bytes_received == 6234
@@ -136,9 +135,19 @@ def test_offered_load_hits_the_target_band():
 
 
 def test_offered_load_replays_the_simulators_streams():
-    a = offered_load_bps(7, clients=3, duration_s=50.0)
-    b = offered_load_bps(7, clients=3, duration_s=50.0)
-    assert a == b
+    # each request reaches its server at once; at 50.5 s every batch's
+    # requests (the last batch starts at 50 s) are answered before the end
+    sim = Simulator(seed=7)
+    servers = []
+    for c in range(3):
+        client, server = FakeTcp(sim), FakeTcp(sim)
+        ClientApp(client, TrafficParams(), c, seconds(50.5))
+        ServerApp(server, TrafficParams(), c)
+        client.write = server.app_recv
+        servers.append(server)
+    sim.run_until(seconds(50.5))
+    total = sum(n for server in servers for _, n in server.writes)
+    assert total * 8.0 / 50.5 == offered_load_bps(7, clients=3, duration_s=50.5)
 
 
 def test_traffic_params_validation():
@@ -171,3 +180,10 @@ def test_traffic_params_validation():
         TrafficParams(class_bases=(math.inf, 1000), class_freqs=(0.5, 0.5))
     with pytest.raises(ValueError, match=r"^class_freqs must be finite, got \[nan"):
         TrafficParams(class_bases=[100, 1000], class_freqs=[math.nan, 1.0])
+    # a fractional size passes every range rule and turns the row's counts
+    # into floats
+    with pytest.raises(ValueError, match=r"^request_bytes must be an integer, got 128\.5$"):
+        TrafficParams(request_bytes=128.5)
+    with pytest.raises(ValueError,
+                       match=r"^class_bases must be integers, got \(100\.5, 1000\)$"):
+        TrafficParams(class_bases=(100.5, 1000), class_freqs=(0.5, 0.5))
