@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 
 from . import __version__
 from .config import ConfigError, load_config, scenario_from_config
@@ -109,6 +108,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from importlib import resources
     classes = CLASSES if args.delay_class == "all" else (args.delay_class,)
     metrics = METRICS if args.metric == "all" else (args.metric,)
     for cls in classes:

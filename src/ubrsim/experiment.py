@@ -10,12 +10,8 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import fields
 from functools import partial
-from traceback import format_exc
 
 from .netsim import CSV_COLUMNS, RunResult, row_identity, run_cell
 from .scenarios import Scenario, grid
@@ -29,13 +25,14 @@ def run_cell_safe(spec, log_drops: bool = False) -> RunResult:
     try:
         return run_cell(spec, log_drops=log_drops)
     except Exception as exc:  # report the cell, keep the grid going
-        return _error_row(spec, exc, format_exc())
+        return _error_row(spec, exc)
 
 
-def _error_row(spec, exc: BaseException, traceback: str) -> RunResult:
-    """The row of a cell that failed with `exc`."""
+def _error_row(spec, exc: BaseException) -> RunResult:
+    """The row of a cell that failed with `exc`, with its traceback."""
+    from traceback import format_exception
     row = {col: math.nan if col in _FLOAT_COLUMNS else 0 for col in CSV_COLUMNS}
-    row.update(row_identity(spec), traceback=traceback,
+    row.update(row_identity(spec), traceback="".join(format_exception(exc)),
                status=f"error: {type(exc).__name__}: {exc}")
     return RunResult(**row)
 
@@ -43,6 +40,7 @@ def _error_row(spec, exc: BaseException, traceback: str) -> RunResult:
 def _pool_result(job, future, spec) -> RunResult:
     # a worker that dies takes its cell and every pending one with it; each
     # lost cell reruns once, alone, and fails only if it kills that worker too
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     try:
         return future.result()
     except BrokenProcessPool:
@@ -50,26 +48,32 @@ def _pool_result(job, future, spec) -> RunResult:
             try:
                 return alone.submit(job, spec).result()
             except BrokenProcessPool as exc:
-                return _error_row(spec, exc, format_exc())
+                return _error_row(spec, exc)
 
 
 def run_grid(scenario: Scenario, workers: int = 1, log_drops: bool = False,
              progress=None) -> list:
-    """Execute every grid cell; results come back in canonical order."""
+    """Execute every grid cell; results come back in canonical order.
+
+    Only a pool imports multiprocessing, so a serial grid never pays for it.
+    """
     specs = grid(scenario)
     job = partial(run_cell_safe, log_drops=log_drops)
+    if workers <= 1:
+        return _collect(map(job, specs), len(specs), progress)
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(job, spec) for spec in specs]
+        rows = map(partial(_pool_result, job), futures, specs)
+        return _collect(rows, len(specs), progress)
+
+
+def _collect(rows, total: int, progress) -> list:
     results = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    with pool or nullcontext():
-        if pool:
-            futures = [pool.submit(job, spec) for spec in specs]
-            rows = map(partial(_pool_result, job), futures, specs)
-        else:
-            rows = map(job, specs)
-        for i, res in enumerate(rows, start=1):
-            results.append(res)
-            if progress:
-                progress(i, len(specs), res)
+    for i, res in enumerate(rows, start=1):
+        results.append(res)
+        if progress:
+            progress(i, total, res)
     return results
 
 

@@ -115,8 +115,10 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
                        ("duration_s", duration)):
         if not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value}")
+    # bool is an int subclass, but True would reach the row and the seed's
+    # text, from which the random streams derive
     for key, value in (("seed", seed), ("connections", conns)):
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise ValueError(f"{key} must be an integer, got {value}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
@@ -136,7 +138,7 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
     else:
         buffers = tuple(buffers)
         if len(buffers) != len(BUFFER_LEVELS) or not all(
-                isinstance(b, int) and b > 0 for b in buffers):
+                type(b) is int and b > 0 for b in buffers):
             raise ValueError(f"buffers must be {len(BUFFER_LEVELS)} positive "
                              f"buffer sizes in cells, got {buffers}")
     return Scenario(

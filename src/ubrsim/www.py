@@ -44,10 +44,11 @@ class TrafficParams:
             values = value if isinstance(value, (tuple, list)) else (value,)
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{key} must be finite, got {value}")
-        if not isinstance(self.request_bytes, int):
+        # `type`, not `isinstance`: a bool is an int, and True a 1-byte size
+        if type(self.request_bytes) is not int:
             raise ValueError(f"request_bytes must be an integer, "
                              f"got {self.request_bytes}")
-        if not all(isinstance(b, int) for b in self.class_bases):
+        if not all(type(b) is int for b in self.class_bases):
             raise ValueError(f"class_bases must be integers, got {self.class_bases}")
         if not self.request_bytes >= 1:
             raise ValueError(f"request_bytes must be at least 1, "
@@ -147,21 +148,26 @@ def offered_load_bps(master_seed: int, clients: int, duration_s: float,
                      params: TrafficParams | None = None) -> float:
     """Generation-only estimate: mean response bytes scheduled per second.
 
-    Replays the batch and size draws without any network, so it measures the
-    workload the clients would offer to an unconstrained path.  It opens the
-    stream ids that `ClientApp` and `ServerApp` above open for connection
-    `c`, so the draws line up run for run.
+    Replays the batch, gap and size draws without any network, so it
+    measures the workload the clients would offer to an unconstrained path.
+    It opens the stream ids that `ClientApp` and `ServerApp` above open for
+    connection `c`, so the draws line up run for run.
     """
     params = params or TrafficParams()
     total = 0
     horizon = seconds(duration_s)
     for c in range(clients):
         count_rng = RngStream(master_seed, f"request-count:{c}")
+        gap_rng = RngStream(master_seed, f"inter-request-gap:{c}")
         size_rng = RngStream(master_seed, f"file-size:{c}")
         t = 0
         while t < horizon:
             n = count_rng.truncated_poisson(BATCH_MEAN, BATCH_MIN, BATCH_MAX)
             for _ in range(n):
-                total += draw_response_bytes(size_rng, params)
+                gap = gap_rng.uniform(params.gap_min_s, params.gap_max_s)
+                # `_batch` sends only the requests before the end, and the
+                # server draws one size per request it receives
+                if t + seconds(gap) < horizon:
+                    total += draw_response_bytes(size_rng, params)
             t += seconds(params.batch_period_s)
     return total * 8.0 / duration_s

@@ -1,7 +1,14 @@
 """Command-line interface: verbs, exit codes, output files, determinism."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ubrsim
 from ubrsim import experiment
 from ubrsim.cli import main
 
@@ -165,3 +172,26 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("ubrsim ")
+
+
+def test_serial_run_imports_no_pool_traceback_or_resources(tmp_path):
+    # a fresh interpreter runs a serial grid through the CLI; -S keeps `site`
+    # from importing importlib.resources before ubrsim does
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("connections = 1\nduration_s = 0.5\n")
+    script = f"""
+import json, sys
+import ubrsim.cli, ubrsim.experiment
+rc = ubrsim.cli.main(["run", "--delay-class", "wan", "--scale", "0.1",
+                      "--config", {str(cfg)!r}, "--out", {str(tmp_path / "r.csv")!r},
+                      "--quiet"])
+lazy = ("multiprocessing", "concurrent.futures", "traceback", "importlib.resources")
+print(json.dumps([rc, [m for m in lazy if m in sys.modules]]))
+"""
+    src = str(Path(ubrsim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 25

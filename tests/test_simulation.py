@@ -72,6 +72,13 @@ def test_scenario_validation():
     # seeds derive streams from their text: 1.0 would run other draws than 1
     with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.0$"):
         build_scenario("wan", scale=0.1, seed=1.0, duration_s=0.5)
+    # a bool is an int to isinstance: True wrote itself into the row and
+    # derived the streams of the text "True", not those of seed 1
+    for key in ("seed", "connections"):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got True$"):
+            build_scenario("wan", scale=0.1, duration_s=0.5, **{key: True})
+    with pytest.raises(ValueError, match=r"^buffers must be 3 positive"):
+        build_scenario("wan", buffers=(True, 106, 230))
     with pytest.raises(ValueError, match=r"^buffers must be 3 positive"):
         build_scenario("wan", buffers=(53.9, 106, 230))
     with pytest.raises(ValueError, match="buffer sizes"):

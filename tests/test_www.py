@@ -136,18 +136,22 @@ def test_offered_load_hits_the_target_band():
 
 def test_offered_load_replays_the_simulators_streams():
     # each request reaches its server at once; at 50.5 s every batch's
-    # requests (the last batch starts at 50 s) are answered before the end
-    sim = Simulator(seed=7)
-    servers = []
-    for c in range(3):
-        client, server = FakeTcp(sim), FakeTcp(sim)
-        ClientApp(client, TrafficParams(), c, seconds(50.5))
-        ServerApp(server, TrafficParams(), c)
-        client.write = server.app_recv
-        servers.append(server)
-    sim.run_until(seconds(50.5))
-    total = sum(n for server in servers for _, n in server.writes)
-    assert total * 8.0 / 50.5 == offered_load_bps(7, clients=3, duration_s=50.5)
+    # requests (the last batch starts at 50 s) are answered before the end.
+    # At 20.2 s and 50.3 s the end cuts a batch, and a request it cuts off
+    # is never sent, so the estimate must not count its response
+    for duration_s in (50.5, 20.2, 50.3):
+        sim = Simulator(seed=7)
+        servers = []
+        for c in range(3):
+            client, server = FakeTcp(sim), FakeTcp(sim)
+            ClientApp(client, TrafficParams(), c, seconds(duration_s))
+            ServerApp(server, TrafficParams(), c)
+            client.write = server.app_recv
+            servers.append(server)
+        sim.run_until(seconds(duration_s))
+        total = sum(n for server in servers for _, n in server.writes)
+        assert total * 8.0 / duration_s == offered_load_bps(
+            7, clients=3, duration_s=duration_s)
 
 
 def test_traffic_params_validation():
@@ -187,3 +191,9 @@ def test_traffic_params_validation():
     with pytest.raises(ValueError,
                        match=r"^class_bases must be integers, got \(100\.5, 1000\)$"):
         TrafficParams(class_bases=(100.5, 1000), class_freqs=(0.5, 0.5))
+    # a bool passes isinstance(_, int) and would be a 1-byte size
+    with pytest.raises(ValueError, match=r"^request_bytes must be an integer, got True$"):
+        TrafficParams(request_bytes=True)
+    with pytest.raises(ValueError,
+                       match=r"^class_bases must be integers, got \(True, 1000\)$"):
+        TrafficParams(class_bases=(True, 1000), class_freqs=(0.5, 0.5))
