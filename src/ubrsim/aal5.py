@@ -9,28 +9,20 @@ exists as an object: a frame is one `Frame(vc, n, seg)` descriptor.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 CELL_BYTES = 53
 CELL_PAYLOAD = 48
 FRAME_OVERHEAD = 56  # TCP 20 + IP 20 + LLC/SNAP 8 + AAL5 trailer 8
 
+# length: payload bytes, 0 for a pure ACK; ack: the cumulative ACK number,
+# None on data segments; sacks: SACK blocks, () when there are none
+Segment = namedtuple("Segment", "seq length ack sacks", defaults=((),))
+Segment.__doc__ = ("Wire-level TCP segment descriptor (no actual payload "
+                   "bytes carried).")
 
-class Segment(NamedTuple):
-    """Wire-level TCP segment descriptor (no actual payload bytes carried)."""
-
-    seq: int
-    length: int      # payload bytes; 0 for a pure ACK
-    ack: int | None  # cumulative ACK number, None on data segments
-    sacks: tuple = ()
-
-
-class Frame(NamedTuple):
-    """One segment's AAL5 frame on a VC: n cells, the last one eom."""
-
-    vc: int
-    n: int
-    seg: Segment
+Frame = namedtuple("Frame", "vc n seg")
+Frame.__doc__ = "One segment's AAL5 frame on a VC: n cells, the last one eom."
 
 
 def cells_for_segment(payload_bytes: int) -> int:
@@ -40,10 +32,6 @@ def cells_for_segment(payload_bytes: int) -> int:
     return -(-(payload_bytes + FRAME_OVERHEAD) // CELL_PAYLOAD)
 
 
-def wire_bytes(payload_bytes: int) -> int:
-    return cells_for_segment(payload_bytes) * CELL_BYTES
-
-
 def max_tcp_throughput(mss: int, link_bps: float) -> float:
     """Best-case TCP payload throughput (bit/s) for MSS-sized segments."""
     return link_bps * mss / (cells_for_segment(mss) * CELL_BYTES)
@@ -51,7 +39,7 @@ def max_tcp_throughput(mss: int, link_bps: float) -> float:
 
 def segment_to_cells(vc: int, seg: Segment) -> Frame:
     """The frame that carries `seg` on `vc`, sized in cells."""
-    # tuple.__new__: the same Frame without NamedTuple's Python-level __new__
+    # tuple.__new__: the same Frame without namedtuple's Python-level __new__
     return tuple.__new__(Frame, (vc, cells_for_segment(seg.length), seg))
 
 

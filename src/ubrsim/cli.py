@@ -15,9 +15,7 @@ import sys
 from . import __version__
 from .config import ConfigError, load_config, scenario_from_config
 from .experiment import run_grid, write_drop_logs, write_results
-from .factorial import (AnalysisError, analyze, read_matrix, render_text,
-                        write_report_csvs)
-from .metrics import MetricError
+from .factorial import analyze, read_matrix, render_text, write_report_csvs
 from .scenarios import DELAY_CLASSES
 
 CLASSES = tuple(DELAY_CLASSES)
@@ -65,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
     cfg = load_config(args.config) if args.config else {}
     scenario = scenario_from_config(args.delay_class, cfg,
                                     seed=args.seed, scale=args.scale)
@@ -134,10 +130,9 @@ def main(argv=None) -> int:
         if args.verb == "analyze":
             return _cmd_analyze(args)
         return _cmd_oracle(args)
-    except (ConfigError, AnalysisError, MetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # every input error is a ValueError: ConfigError, AnalysisError,
+        # MetricError and run_grid's own
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -57,6 +57,8 @@ def run_grid(scenario: Scenario, workers: int = 1, log_drops: bool = False,
 
     Only a pool imports multiprocessing, so a serial grid never pays for it.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     specs = grid(scenario)
     job = partial(run_cell_safe, log_drops=log_drops)
     if workers <= 1:

@@ -30,10 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import bisect_right
-from functools import cache
 from heapq import heappop, heappush
-from itertools import accumulate
 
 NS_PER_SEC = 1_000_000_000
 NS_PER_MS = 1_000_000
@@ -86,64 +83,6 @@ class RngStream:
         if v >= hi:  # guard the closed end against float rounding
             v = math.nextafter(hi, lo)
         return v
-
-    def truncated_poisson(self, mean: float, lo: int, hi: int) -> int:
-        """Poisson-shaped integer on [lo, hi] whose truncated mean equals `mean`.
-
-        The underlying rate is calibrated so that the distribution restricted
-        to [lo, hi] has expectation exactly `mean` (plain conditioning at
-        rate=mean would bias the mean low whenever the upper tail is cut).
-        Sampling is by inversion over the truncated support: one uniform per
-        draw, identical in law to rejection resampling of out-of-range values.
-        """
-        if not lo <= mean <= hi:
-            raise ValueError(f"need lo <= mean <= hi, got {lo}, {mean}, {hi}")
-        if lo == hi:
-            return lo
-        if mean == lo:
-            return lo
-        if mean == hi:
-            return hi
-        cdf = _truncated_poisson_cdf(mean, lo, hi)
-        return lo + bisect_right(cdf, self._rng.random() * cdf[-1])
-
-
-def _poisson_weights(lam: float, lo: int, hi: int) -> list[float]:
-    # unnormalized lam^k / k!, built iteratively to dodge overflow
-    w = 1.0
-    for k in range(1, lo + 1):
-        w *= lam / k
-    out = [w]
-    for k in range(lo + 1, hi + 1):
-        w *= lam / k
-        out.append(w)
-    return out
-
-
-def truncated_poisson_mean(lam: float, lo: int, hi: int) -> float:
-    """Expectation of Poisson(lam) conditioned on lo <= k <= hi."""
-    w = _poisson_weights(lam, lo, hi)
-    total = sum(w)
-    return sum(k * wk for k, wk in zip(range(lo, hi + 1), w)) / total
-
-
-def _calibrate_rate(mean: float, lo: int, hi: int) -> float:
-    # conditional mean is monotone in the rate; bisect to the target
-    a, b = 1e-12, 4.0 * hi + 64.0
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if truncated_poisson_mean(m, lo, hi) < mean:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-@cache
-def _truncated_poisson_cdf(mean: float, lo: int, hi: int) -> tuple:
-    # unnormalized CDF over [lo, hi] at the calibrated rate; calibrated once
-    # per process for each (mean, lo, hi)
-    return tuple(accumulate(_poisson_weights(_calibrate_rate(mean, lo, hi), lo, hi)))
 
 
 class Simulator:

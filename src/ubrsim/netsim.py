@@ -18,7 +18,7 @@ from .metrics import efficiency, fairness
 from .scenarios import RunSpec
 from .switchport import EgressLink, IngressLink, PolicyPort, cell_time_ns
 from .tcp import TcpEndpoint, TcpParams
-from .www import ClientApp, ServerApp, TrafficParams
+from .www import ClientApp, ServerApp
 
 
 @dataclass

@@ -129,7 +129,7 @@ class TcpEndpoint:
         elif self._timed_end is None:
             self._timed_end = rec.end
             self._timed_at = self.sim.now
-        # tuple.__new__ builds the same Segment without NamedTuple's
+        # tuple.__new__ builds the same Segment without namedtuple's
         # Python-level __new__, on the path of every segment sent
         self.transmit(tuple.__new__(Segment, (rec.start, rec.end - rec.start,
                                               None, ())))

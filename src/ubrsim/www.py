@@ -1,12 +1,12 @@
 """WWW request/response workload riding on the TCP endpoints.
 
 Each client issues batches of HTTP-like transactions: every `batch_period_s`
-it draws a batch size from a truncated Poisson (1..9 requests, mean 5) and
-spaces the requests uniformly within [gap_min_s, gap_max_s).  A request is a
-fixed 128-byte upload; the server answers each complete request with one
-response whose size is drawn from a two-stage distribution: a document class
-(100 B .. 1 MB base, heavily skewed toward small documents) times a uniform
-multiplier 1..9.  The resulting mean response is 117.5 KB.
+it draws a batch size from a fixed truncated Poisson table (1..9 requests,
+mean 5) and spaces the requests uniformly within [gap_min_s, gap_max_s).  A
+request is a fixed 128-byte upload; the server answers each complete request
+with one response whose size is drawn from a two-stage distribution: a
+document class (100 B .. 1 MB base, heavily skewed toward small documents)
+times a uniform multiplier 1..9.  The resulting mean response is 117.5 KB.
 """
 
 from __future__ import annotations
@@ -25,6 +25,12 @@ CLASS_FREQS = (0.20, 0.28, 0.40, 0.112, 0.008)
 BATCH_MIN = 1
 BATCH_MAX = 9
 BATCH_MEAN = 5.0
+# unnormalized CDF over BATCH_MIN..BATCH_MAX of the Poisson law whose mean,
+# truncated to that range, is BATCH_MEAN (rate 5.2001...).  Written with
+# repr so every float is exact; tests/oracles.py derives it again
+BATCH_CDF = (5.2001486412069475, 18.72092158653018, 42.157597939760265,
+             72.62614811292437, 104.31434606942938, 131.7782359937321,
+             152.1805659754635, 165.44245954195807, 173.10510596525117)
 
 
 @dataclass(frozen=True)
@@ -74,10 +80,6 @@ class TrafficParams:
     def class_cum(self) -> tuple:
         return tuple(accumulate(self.class_freqs))
 
-    def mean_response_bytes(self) -> float:
-        mult = (1 + 9) / 2.0
-        return mult * sum(b * f for b, f in zip(self.class_bases, self.class_freqs))
-
 
 def classify(u: float, class_cum) -> int:
     """Map a uniform [0,1) draw to a document class index."""
@@ -89,6 +91,11 @@ def draw_response_bytes(size_rng: RngStream, params: TrafficParams) -> int:
     cls = classify(size_rng.random(), params.class_cum)
     index = size_rng.randint(1, 9)
     return params.class_bases[cls] * index
+
+
+def draw_batch_size(count_rng: RngStream) -> int:
+    """One batch's request count, by inversion of BATCH_CDF: one uniform."""
+    return BATCH_MIN + bisect_right(BATCH_CDF, count_rng.random() * BATCH_CDF[-1])
 
 
 class ClientApp:
@@ -108,7 +115,7 @@ class ClientApp:
 
     def _batch(self, _):
         p = self.params
-        n = self.count_rng.truncated_poisson(BATCH_MEAN, BATCH_MIN, BATCH_MAX)
+        n = draw_batch_size(self.count_rng)
         base = self.sim.now
         for _ in range(n):
             gap = self.gap_rng.uniform(p.gap_min_s, p.gap_max_s)
@@ -143,31 +150,3 @@ class ServerApp:
             self._pending -= req
             self.tcp.write(draw_response_bytes(self.size_rng, self.params))
 
-
-def offered_load_bps(master_seed: int, clients: int, duration_s: float,
-                     params: TrafficParams | None = None) -> float:
-    """Generation-only estimate: mean response bytes scheduled per second.
-
-    Replays the batch, gap and size draws without any network, so it
-    measures the workload the clients would offer to an unconstrained path.
-    It opens the stream ids that `ClientApp` and `ServerApp` above open for
-    connection `c`, so the draws line up run for run.
-    """
-    params = params or TrafficParams()
-    total = 0
-    horizon = seconds(duration_s)
-    for c in range(clients):
-        count_rng = RngStream(master_seed, f"request-count:{c}")
-        gap_rng = RngStream(master_seed, f"inter-request-gap:{c}")
-        size_rng = RngStream(master_seed, f"file-size:{c}")
-        t = 0
-        while t < horizon:
-            n = count_rng.truncated_poisson(BATCH_MEAN, BATCH_MIN, BATCH_MAX)
-            for _ in range(n):
-                gap = gap_rng.uniform(params.gap_min_s, params.gap_max_s)
-                # `_batch` sends only the requests before the end, and the
-                # server draws one size per request it receives
-                if t + seconds(gap) < horizon:
-                    total += draw_response_bytes(size_rng, params)
-            t += seconds(params.batch_period_s)
-    return total * 8.0 / duration_s

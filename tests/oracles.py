@@ -1,10 +1,14 @@
 """Slow, independent reference implementations used to check fast ones."""
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
+from ubrsim.kernel import RngStream, seconds
 from ubrsim.switchport import (DROP_FRAME_START, DROP_TAIL_OVERFLOW, EPD,
                                cell_time_ns, sd_over_fair_share)
+from ubrsim.www import TrafficParams, draw_response_bytes
 
 
 def water_fill_oracle(demands, capacity):
@@ -123,3 +127,74 @@ class EventDrivenPort:
             self.sim.schedule(self.sim.now + self.tx_ns, self._complete)
         else:
             self._busy = False
+
+
+def _poisson_weights(lam, lo, hi):
+    # unnormalized lam^k / k!, built iteratively to dodge overflow
+    w = 1.0
+    for k in range(1, lo + 1):
+        w *= lam / k
+    out = [w]
+    for k in range(lo + 1, hi + 1):
+        w *= lam / k
+        out.append(w)
+    return out
+
+
+def truncated_poisson_mean(lam, lo, hi):
+    """Expectation of Poisson(lam) conditioned on lo <= k <= hi."""
+    w = _poisson_weights(lam, lo, hi)
+    return sum(k * wk for k, wk in zip(range(lo, hi + 1), w)) / sum(w)
+
+
+def calibrate_rate(mean, lo, hi):
+    """The rate whose Poisson law, truncated to [lo, hi], has this mean.
+
+    Plain conditioning at rate=mean would bias the mean low whenever the
+    upper tail is cut.  The conditional mean is monotone in the rate, so
+    bisect to the target.
+    """
+    a, b = 1e-12, 4.0 * hi + 64.0
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        if truncated_poisson_mean(m, lo, hi) < mean:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def truncated_poisson_cdf(mean, lo, hi):
+    """Unnormalized CDF over [lo, hi] at the calibrated rate: the table
+    `ubrsim.www.BATCH_CDF` holds for (BATCH_MEAN, BATCH_MIN, BATCH_MAX)."""
+    return tuple(accumulate(_poisson_weights(calibrate_rate(mean, lo, hi), lo, hi)))
+
+
+def offered_load_bps(master_seed, clients, duration_s, params=None):
+    """Generation-only estimate: mean response bytes scheduled per second.
+
+    Replays the batch, gap and size draws without any network, so it
+    measures the workload the clients would offer to an unconstrained path.
+    It opens the stream ids that `ClientApp` and `ServerApp` open for
+    connection `c`, so the draws line up run for run.  Batch sizes come from
+    the calibration above, not from the program's table.
+    """
+    params = params or TrafficParams()
+    cdf = truncated_poisson_cdf(5.0, 1, 9)
+    total = 0
+    horizon = seconds(duration_s)
+    for c in range(clients):
+        count_rng = RngStream(master_seed, f"request-count:{c}")
+        gap_rng = RngStream(master_seed, f"inter-request-gap:{c}")
+        size_rng = RngStream(master_seed, f"file-size:{c}")
+        t = 0
+        while t < horizon:
+            n = 1 + bisect_right(cdf, count_rng.random() * cdf[-1])
+            for _ in range(n):
+                gap = gap_rng.uniform(params.gap_min_s, params.gap_max_s)
+                # `_batch` sends only the requests before the end, and the
+                # server draws one size per request it receives
+                if t + seconds(gap) < horizon:
+                    total += draw_response_bytes(size_rng, params)
+            t += seconds(params.batch_period_s)
+    return total * 8.0 / duration_s

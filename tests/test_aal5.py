@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ubrsim.aal5 import (CELL_BYTES, CELL_PAYLOAD, FRAME_OVERHEAD, Frame,
                          Reassembler, Segment, cells_for_segment,
-                         max_tcp_throughput, segment_to_cells, wire_bytes)
+                         max_tcp_throughput, segment_to_cells)
 
 
 def test_cell_geometry_examples():
@@ -15,7 +15,7 @@ def test_cell_geometry_examples():
     assert cells_for_segment(41) == 3
     assert cells_for_segment(1024) == 23
     assert cells_for_segment(9180) == 193
-    assert wire_bytes(1024) == 23 * 53
+    assert cells_for_segment(1024) * CELL_BYTES == 1219   # bytes on the wire
 
 
 def test_cells_for_segment_rejects_negative():

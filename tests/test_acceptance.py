@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from oracles import water_fill_oracle
+from oracles import offered_load_bps, water_fill_oracle
 from ubrsim.aal5 import (Reassembler, Segment, cells_for_segment,
                          max_tcp_throughput, segment_to_cells)
 from ubrsim.factorial import analyze, read_matrix, t_quantile_95
@@ -24,7 +24,7 @@ from ubrsim.netsim import Topology, run_cell
 from ubrsim.scenarios import RunSpec, build_scenario, buffer_table
 from ubrsim.switchport import DROP_FRAME_START
 from ubrsim.tcp import initial_ssthresh
-from ubrsim.www import TrafficParams, classify, draw_response_bytes, offered_load_bps
+from ubrsim.www import TrafficParams, classify, draw_response_bytes
 
 DESK_SCALE = 0.1
 DESK_DURATION_S = 20.0

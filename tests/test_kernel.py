@@ -2,14 +2,13 @@
 
 import functools
 import itertools
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubrsim.kernel import (NS_PER_SEC, RngStream, SchedulingError, Simulator,
-                           derive_seed, seconds, truncated_poisson_mean)
+                           derive_seed, seconds)
 
 
 def test_events_fire_in_time_then_schedule_order():
@@ -365,37 +364,6 @@ def test_randint_covers_range_uniformly_enough():
     assert counts[0] == 0
     for k in range(1, 10):
         assert counts[k] == pytest.approx(n / 9, rel=0.05)
-
-
-def test_truncated_poisson_mean_oracle():
-    # conditioning Poisson(5) on [1, 9] pulls the mean below 5
-    assert truncated_poisson_mean(5.0, 1, 9) == pytest.approx(4.8464, abs=5e-4)
-    # the sampler calibrates the rate so the conditional mean is the target
-    rng = RngStream(11, "batch")
-    n = 200_000
-    total = 0
-    counts = [0] * 10
-    for _ in range(n):
-        v = rng.truncated_poisson(5.0, 1, 9)
-        assert 1 <= v <= 9
-        total += v
-        counts[v] += 1
-    assert total / n == pytest.approx(5.0, abs=0.02)
-    # distribution shape must match the calibrated truncated pmf
-    lam = 5.200148641
-    w = [lam ** k / math.factorial(k) for k in range(1, 10)]
-    z = sum(w)
-    for k in range(1, 10):
-        assert counts[k] / n == pytest.approx(w[k - 1] / z, abs=0.01)
-
-
-def test_truncated_poisson_validates_and_handles_edges():
-    rng = RngStream(0, "x")
-    with pytest.raises(ValueError):
-        rng.truncated_poisson(10.0, 1, 9)
-    assert rng.truncated_poisson(3.0, 3, 3) == 3
-    assert rng.truncated_poisson(1.0, 1, 9) == 1
-    assert rng.truncated_poisson(9.0, 1, 9) == 9
 
 
 def test_run_stats_counts_events():

@@ -333,6 +333,13 @@ def test_run_grid_parallel_matches_sequential():
     assert [format_row(r) for r in seq] == [format_row(r) for r in par]
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_grid_refuses_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError) as exc:
+        run_grid(tiny_scenario(connections=1, duration_s=0.5), workers=workers)
+    assert str(exc.value) == f"workers must be >= 1, got {workers}"
+
+
 def _die_in_the_sd_reno_1_cell(spec, log_drops=False):
     if (spec.drop_policy, spec.tcp_flavor, spec.buffer_rtt) == ("sd", "reno", "1"):
         os._exit(3)

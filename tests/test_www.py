@@ -4,10 +4,13 @@ import math
 
 import pytest
 
-from ubrsim.kernel import NS_PER_SEC, RngStream, Simulator, seconds
-from ubrsim.www import (BATCH_MAX, BATCH_MEAN, BATCH_MIN, CLASS_BASES,
-                        CLASS_FREQS, ClientApp, ServerApp, TrafficParams,
-                        classify, draw_response_bytes, offered_load_bps)
+from oracles import (offered_load_bps, truncated_poisson_cdf,
+                     truncated_poisson_mean)
+from ubrsim.kernel import RngStream, Simulator, seconds
+from ubrsim.www import (BATCH_CDF, BATCH_MAX, BATCH_MEAN, BATCH_MIN,
+                        CLASS_BASES, CLASS_FREQS, ClientApp, ServerApp,
+                        TrafficParams, classify, draw_batch_size,
+                        draw_response_bytes)
 
 
 class FakeTcp:
@@ -53,7 +56,9 @@ def test_response_sizes_are_base_times_index():
 
 def test_mean_response_size_is_117_5_kb():
     p = TrafficParams()
-    assert p.mean_response_bytes() == pytest.approx(117_500.0)
+    # the index 1..9 has mean 5, so the mean is 5 times the class mean
+    assert 5 * sum(b * f for b, f in zip(CLASS_BASES, CLASS_FREQS)) \
+        == pytest.approx(117_500.0)
     rng = RngStream(4, "file-size:0")
     n = 200_000
     total = sum(draw_response_bytes(rng, p) for _ in range(n))
@@ -74,6 +79,34 @@ def test_class_frequencies_match_the_mix():
         counts[CLASS_BASES.index(base)] += 1
     for got, want in zip(counts, CLASS_FREQS):
         assert got / n == pytest.approx(want, abs=0.005)
+
+
+def test_batch_table_is_the_calibrated_truncated_poisson():
+    # bit for bit: repr wrote each float of the table exactly
+    oracle = truncated_poisson_cdf(BATCH_MEAN, BATCH_MIN, BATCH_MAX)
+    assert [x.hex() for x in BATCH_CDF] == [x.hex() for x in oracle]
+
+
+def test_truncated_poisson_mean_oracle():
+    # conditioning Poisson(5) on [1, 9] pulls the mean below 5
+    assert truncated_poisson_mean(5.0, 1, 9) == pytest.approx(4.8464, abs=5e-4)
+    # the table's rate is calibrated so the conditional mean is the target
+    rng = RngStream(11, "batch")
+    n = 200_000
+    total = 0
+    counts = [0] * 10
+    for _ in range(n):
+        v = draw_batch_size(rng)
+        assert 1 <= v <= 9
+        total += v
+        counts[v] += 1
+    assert total / n == pytest.approx(5.0, abs=0.02)
+    # distribution shape must match the calibrated truncated pmf
+    lam = 5.200148641
+    w = [lam ** k / math.factorial(k) for k in range(1, 10)]
+    z = sum(w)
+    for k in range(1, 10):
+        assert counts[k] / n == pytest.approx(w[k - 1] / z, abs=0.01)
 
 
 def test_client_batches_follow_the_schedule():
