@@ -9,18 +9,16 @@ Example:
     drop_log = false
 
 Unknown keys, duplicate keys and values that do not convert are rejected
-here with their line number.  The range rules live only in `build_scenario`
-and `TrafficParams`; `scenario_from_config` reports their errors at the
-latest line that set a key the message names.  Command-line `--seed` and
-`--scale` win over file values, which are then never judged.
+here with their line number.  The range rules live only in `build_scenario`;
+`scenario_from_config` reports their errors at the latest line that set a
+key the message names.  The traffic law is fixed (`ubrsim.www`), so no key
+sets it.  Command-line `--seed` and `--scale` win over file values, which
+are then never judged.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from .scenarios import Scenario, build_scenario
-from .www import TrafficParams
 
 
 class ConfigError(ValueError):
@@ -36,9 +34,9 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _list_of(convert):
-    # int() and float() ignore the spaces around each comma-separated part
-    return lambda text: tuple(map(convert, text.split(",")))
+def _ints(text: str) -> tuple:
+    # int() ignores the spaces around each comma-separated part
+    return tuple(map(int, text.split(",")))
 
 
 # key -> (converter, type phrase shown when a value does not convert)
@@ -47,17 +45,9 @@ SCHEMA = {
     "connections": (int, "an integer"),
     "duration_s": (float, "a number"),
     "seed": (int, "an integer"),
-    "batch_period_s": (float, "a number"),
-    "gap_min_s": (float, "a number"),
-    "gap_max_s": (float, "a number"),
-    "request_bytes": (int, "an integer"),
-    "class_bases": (_list_of(int), "comma-separated integers"),
-    "class_freqs": (_list_of(float), "comma-separated numbers"),
-    "buffers": (_list_of(int), "comma-separated integers"),
+    "buffers": (_ints, "comma-separated integers"),
     "drop_log": (_bool, "true or false"),
 }
-
-TRAFFIC_KEYS = tuple(f.name for f in fields(TrafficParams))
 
 
 class ConfigValues(dict):
@@ -93,10 +83,6 @@ def parse_config_text(text: str, source: str = "config") -> ConfigValues:
             raise ConfigError(f"{source}:{lineno}: {key} must be {kind}, "
                               f"got {value!r}") from None
         lines[key] = lineno
-    if ("class_bases" in values) != ("class_freqs" in values):
-        only = "class_bases" if "class_bases" in values else "class_freqs"
-        raise ConfigError(f"{source}:{lines[only]}: class_bases and class_freqs "
-                          "must be given together")
     return values
 
 
@@ -118,16 +104,12 @@ def scenario_from_config(delay_class: str, cfg: dict, seed: int | None = None,
     """
     overridden = {k for k, v in (("seed", seed), ("scale", scale)) if v is not None}
     try:
-        traffic = None
-        if any(k in cfg for k in TRAFFIC_KEYS):
-            traffic = TrafficParams(**{k: cfg[k] for k in TRAFFIC_KEYS if k in cfg})
         return build_scenario(
             delay_class,
             seed=seed if seed is not None else cfg.get("seed", 1),
             scale=scale if scale is not None else cfg.get("scale", 1.0),
             connections=cfg.get("connections"),
             duration_s=cfg.get("duration_s"),
-            traffic=traffic,
             buffers=cfg.get("buffers"),
         )
     except ValueError as exc:

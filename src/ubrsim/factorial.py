@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .scenarios import BUFFER_LEVELS, POLICIES
 from .tcp import FLAVORS
@@ -42,17 +42,12 @@ def t_quantile_95(dof: int) -> float:
     return T_TABLE_95.get(dof, Z_95)
 
 
-@dataclass(frozen=True)
-class Factor:
-    name: str
-    levels: tuple
-
-
-DEFAULT_DESIGN = (
-    Factor("tcp_flavor", FLAVORS),
-    Factor("buffer_rtt", BUFFER_LEVELS),
-    Factor("drop_policy", POLICIES),
-)
+# factor column -> its levels; the order fixes every sum of the analysis
+FACTORS = {
+    "tcp_flavor": FLAVORS,
+    "buffer_rtt": BUFFER_LEVELS,
+    "drop_policy": POLICIES,
+}
 
 
 @dataclass
@@ -60,7 +55,6 @@ class FactorialReport:
     response: str
     n: int
     grand_mean: float
-    design: tuple
     effects: dict              # factor name -> {level: effect}
     interactions: dict         # (name_a, name_b) -> {(level_a, level_b): effect}
     ss: dict                   # component -> sum of squares (+ residual, total)
@@ -86,15 +80,14 @@ class FactorialReport:
         return e - hw, e + hw
 
 
-def analyze(rows, response: str, design=DEFAULT_DESIGN) -> FactorialReport:
-    """Decompose `response` over the full factorial described by `design`.
+def analyze(rows, response: str) -> FactorialReport:
+    """Decompose `response` over the full factorial of FACTORS.
 
     `rows` is an iterable of mappings carrying one column per factor plus the
-    response.  Every cell of the design must be present; repeated cells are
+    response.  Every cell of the 24 must be present; repeated cells are
     averaged (replicates).
     """
-    names = [f.name for f in design]
-    levels = {f.name: f.levels for f in design}
+    names = tuple(FACTORS)
     cells: dict[tuple, list] = {}
     for i, row in enumerate(rows):
         try:
@@ -109,12 +102,12 @@ def analyze(rows, response: str, design=DEFAULT_DESIGN) -> FactorialReport:
         if not math.isfinite(val):
             raise AnalysisError(f"row {i}: response {response}={val} is not finite")
         for name, lev in zip(names, key):
-            if lev not in levels[name]:
+            if lev not in FACTORS[name]:
                 raise AnalysisError(
-                    f"row {i}: {name}={lev!r} is not one of {levels[name]}")
+                    f"row {i}: {name}={lev!r} is not one of {FACTORS[name]}")
         cells.setdefault(key, []).append(val)
 
-    full = list(product(*(levels[n] for n in names)))
+    full = list(product(*FACTORS.values()))
     missing = [k for k in full if k not in cells]
     if missing:
         raise AnalysisError(f"matrix incomplete: {len(missing)} cells missing, "
@@ -124,43 +117,42 @@ def analyze(rows, response: str, design=DEFAULT_DESIGN) -> FactorialReport:
     grand = sum(y.values()) / n
 
     effects: dict = {}
-    for f in design:
+    for i, (name, levels) in enumerate(FACTORS.items()):
         per = {}
-        for lev in f.levels:
-            sel = [y[k] for k in full if k[names.index(f.name)] == lev]
+        for lev in levels:
+            sel = [y[k] for k in full if k[i] == lev]
             per[lev] = sum(sel) / len(sel) - grand
-        effects[f.name] = per
+        effects[name] = per
 
     interactions: dict = {}
-    for ai in range(len(design)):
-        for bi in range(ai + 1, len(design)):
-            fa, fb = design[ai], design[bi]
-            per = {}
-            for la in fa.levels:
-                for lb in fb.levels:
-                    sel = [y[k] for k in full if k[ai] == la and k[bi] == lb]
-                    cell_mean = sum(sel) / len(sel)
-                    per[(la, lb)] = cell_mean - (grand + effects[fa.name][la]
-                                                 + effects[fb.name][lb])
-            interactions[fa.name, fb.name] = per
+    for ai, bi in combinations(range(len(names)), 2):
+        na, nb = names[ai], names[bi]
+        per = {}
+        for la in FACTORS[na]:
+            for lb in FACTORS[nb]:
+                sel = [y[k] for k in full if k[ai] == la and k[bi] == lb]
+                cell_mean = sum(sel) / len(sel)
+                per[(la, lb)] = cell_mean - (grand + effects[na][la]
+                                             + effects[nb][lb])
+        interactions[na, nb] = per
 
     ss: dict = {}
     dof: dict = {}
     sum_sq = sum(v * v for v in y.values())
     ss["total"] = sum_sq - n * grand * grand
     dof["total"] = n - 1
-    for f in design:
-        reps = n // len(f.levels)
-        ss[f.name] = reps * sum(e * e for e in effects[f.name].values())
-        dof[f.name] = len(f.levels) - 1
+    for name, levels in FACTORS.items():
+        reps = n // len(levels)
+        ss[name] = reps * sum(e * e for e in effects[name].values())
+        dof[name] = len(levels) - 1
     for (na, nb), per in interactions.items():
-        la = len(levels[na])
-        lb = len(levels[nb])
+        la = len(FACTORS[na])
+        lb = len(FACTORS[nb])
         reps = n // (la * lb)
         ss[na, nb] = reps * sum(e * e for e in per.values())
         dof[na, nb] = (la - 1) * (lb - 1)
 
-    explained = sum(ss[f.name] for f in design)
+    explained = sum(ss[name] for name in names)
     explained += sum(ss[k] for k in interactions)
     residual = ss["total"] - explained
     if residual < 0:
@@ -168,19 +160,18 @@ def analyze(rows, response: str, design=DEFAULT_DESIGN) -> FactorialReport:
             raise AnalysisError(f"negative residual sum of squares: {residual}")
         residual = 0.0
     ss["residual"] = residual
-    dof["residual"] = (dof["total"] - sum(dof[f.name] for f in design)
+    # the three-factor interaction's (4 - 1) * (3 - 1) * (2 - 1) = 6, never 0
+    dof["residual"] = (dof["total"] - sum(dof[name] for name in names)
                        - sum(dof[k] for k in interactions))
-    if dof["residual"] <= 0:
-        raise AnalysisError("design leaves no degrees of freedom for the error term")
 
     s_e = math.sqrt(residual / dof["residual"])
     t_crit = t_quantile_95(dof["residual"])
     std_err = {"mean": s_e * math.sqrt(1.0 / n)}
-    for f in design:
-        std_err[f.name] = s_e * math.sqrt((len(f.levels) - 1) / n)
+    for name, levels in FACTORS.items():
+        std_err[name] = s_e * math.sqrt((len(levels) - 1) / n)
 
-    return FactorialReport(response, n, grand, tuple(design), effects,
-                           interactions, ss, dof, sum_sq, s_e, t_crit, std_err)
+    return FactorialReport(response, n, grand, effects, interactions, ss, dof,
+                           sum_sq, s_e, t_crit, std_err)
 
 
 # ---------------------------------------------------------------- rendering
@@ -192,8 +183,8 @@ def _fmt(v: float) -> str:
 def variation_rows(report: FactorialReport) -> list:
     """Component, sum of squares, share of total variation (percent)."""
     rows = []
-    for f in report.design:
-        rows.append((f.name, report.ss[f.name], report.pct(f.name)))
+    for name in FACTORS:
+        rows.append((name, report.ss[name], report.pct(name)))
     for key in report.interactions:
         label = f"{key[0]} x {key[1]}"
         rows.append((label, report.ss[key], report.pct(key)))
@@ -206,11 +197,11 @@ def effect_rows(report: FactorialReport) -> list:
     """Term, point effect, and 90 percent confidence bounds."""
     lo, hi = report.mean_ci()
     rows = [("mean", report.grand_mean, lo, hi)]
-    for f in report.design:
-        for lev in f.levels:
-            e = report.effects[f.name][lev]
-            lo, hi = report.effect_ci(f.name, lev)
-            rows.append((f"{f.name}={lev}", e, lo, hi))
+    for name, levels in FACTORS.items():
+        for lev in levels:
+            e = report.effects[name][lev]
+            lo, hi = report.effect_ci(name, lev)
+            rows.append((f"{name}={lev}", e, lo, hi))
     return rows
 
 

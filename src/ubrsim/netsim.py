@@ -99,8 +99,8 @@ class Topology:
                 port.egress[c] = EgressLink(
                     self.sim, sc.access_bps, sc.bottleneck_prop_ns,
                     sc.access_prop_ns, Reassembler(), receiver.on_frame)
-            self.client_apps.append(ClientApp(client, sc.traffic, c, duration_ns))
-            ServerApp(server, sc.traffic, c)  # lives on as server.app_recv
+            self.client_apps.append(ClientApp(client, c, duration_ns))
+            ServerApp(server, c)  # lives on as server.app_recv
             self.servers.append(server)
             self.clients.append(client)
 

@@ -20,7 +20,6 @@ from .aal5 import CELL_BYTES, cells_for_segment
 from .kernel import NS_PER_MS, NS_PER_US
 from .switchport import EPD, SD
 from .tcp import FLAVORS, initial_ssthresh
-from .www import TrafficParams
 
 BOTTLENECK_BPS = 45_000_000.0
 ACCESS_BPS = 149_760_000.0
@@ -89,7 +88,6 @@ class Scenario:
     init_ssthresh: int
     rcv_wnd: int
     buffers: tuple            # cells, aligned with BUFFER_LEVELS
-    traffic: TrafficParams
 
     def buffer_cells(self, level: str) -> int:
         return self.buffers[BUFFER_LEVELS.index(level)]
@@ -98,7 +96,6 @@ class Scenario:
 def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
                    connections: int | None = None,
                    duration_s: float | None = None,
-                   traffic: TrafficParams | None = None,
                    buffers: tuple | None = None) -> Scenario:
     if delay_class not in DELAY_CLASSES:
         raise ValueError(f"unknown delay class {delay_class!r}; "
@@ -155,7 +152,6 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
         init_ssthresh=ssthresh,
         rcv_wnd=BASE_WINDOW << wscale,
         buffers=buffers,
-        traffic=traffic if traffic is not None else TrafficParams(),
     )
 
 

@@ -8,7 +8,7 @@ from itertools import accumulate
 from ubrsim.kernel import RngStream, seconds
 from ubrsim.switchport import (DROP_FRAME_START, DROP_TAIL_OVERFLOW, EPD,
                                cell_time_ns, sd_over_fair_share)
-from ubrsim.www import TrafficParams, draw_response_bytes
+from ubrsim.www import draw_response_bytes
 
 
 def water_fill_oracle(demands, capacity):
@@ -170,16 +170,16 @@ def truncated_poisson_cdf(mean, lo, hi):
     return tuple(accumulate(_poisson_weights(calibrate_rate(mean, lo, hi), lo, hi)))
 
 
-def offered_load_bps(master_seed, clients, duration_s, params=None):
+def offered_load_bps(master_seed, clients, duration_s):
     """Generation-only estimate: mean response bytes scheduled per second.
 
     Replays the batch, gap and size draws without any network, so it
     measures the workload the clients would offer to an unconstrained path.
     It opens the stream ids that `ClientApp` and `ServerApp` open for
     connection `c`, so the draws line up run for run.  Batch sizes come from
-    the calibration above, not from the program's table.
+    the calibration above, and the 10 s batch period and the 0.1-0.5 s gaps
+    from README, not from the program's constants.
     """
-    params = params or TrafficParams()
     cdf = truncated_poisson_cdf(5.0, 1, 9)
     total = 0
     horizon = seconds(duration_s)
@@ -191,10 +191,10 @@ def offered_load_bps(master_seed, clients, duration_s, params=None):
         while t < horizon:
             n = 1 + bisect_right(cdf, count_rng.random() * cdf[-1])
             for _ in range(n):
-                gap = gap_rng.uniform(params.gap_min_s, params.gap_max_s)
+                gap = gap_rng.uniform(0.1, 0.5)
                 # `_batch` sends only the requests before the end, and the
                 # server draws one size per request it receives
                 if t + seconds(gap) < horizon:
-                    total += draw_response_bytes(size_rng, params)
-            t += seconds(params.batch_period_s)
+                    total += draw_response_bytes(size_rng)
+            t += seconds(10.0)
     return total * 8.0 / duration_s

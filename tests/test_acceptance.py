@@ -24,7 +24,11 @@ from ubrsim.netsim import Topology, run_cell
 from ubrsim.scenarios import RunSpec, build_scenario, buffer_table
 from ubrsim.switchport import DROP_FRAME_START
 from ubrsim.tcp import initial_ssthresh
-from ubrsim.www import TrafficParams, classify, draw_response_bytes
+from ubrsim.www import classify, draw_response_bytes
+
+# README's document classes: base size in bytes and probability
+README_CLASS_MIX = ((100, 0.20), (1_000, 0.28), (10_000, 0.40),
+                    (100_000, 0.112), (1_000_000, 0.008))
 
 DESK_SCALE = 0.1
 DESK_DURATION_S = 20.0
@@ -230,25 +234,22 @@ def test_criterion_3_configuration_arithmetic():
 
 
 def test_criterion_4_traffic_model():
-    params = TrafficParams()
     n = 200_000
     checks = []
 
     freq_rng = RngStream(1, "acceptance-class-freq")
-    counts = [0] * len(params.class_bases)
-    cum = params.class_cum
+    counts = [0] * len(README_CLASS_MIX)
     for _ in range(n):
-        counts[classify(freq_rng.random(), cum)] += 1
-    for i, want in enumerate(params.class_freqs):
-        got = counts[i] / n
-        checks.append(
-            (f"class {params.class_bases[i]}B freq {got:.4f} vs {want}",
-             abs(got - want) <= 0.005))
+        counts[classify(freq_rng.random())] += 1
+    for (base, want), count in zip(README_CLASS_MIX, counts):
+        got = count / n
+        checks.append((f"class {base}B freq {got:.4f} vs {want}",
+                       abs(got - want) <= 0.005))
 
     size_rng = RngStream(1, "acceptance-response-size")
     total = 0
     for _ in range(n):
-        total += draw_response_bytes(size_rng, params)
+        total += draw_response_bytes(size_rng)
     got_mean = total / n
     checks.append((f"mean response {got_mean:.0f}B vs 117500 +/- 2000",
                    abs(got_mean - 117_500) <= 2_000))

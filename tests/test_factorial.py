@@ -6,10 +6,9 @@ from importlib import resources
 
 import pytest
 
-from ubrsim.factorial import (DEFAULT_DESIGN, T_TABLE_95, AnalysisError,
-                              Factor, analyze, effect_rows, read_matrix,
-                              render_text, t_quantile_95, variation_rows,
-                              write_report_csvs)
+from ubrsim.factorial import (T_TABLE_95, AnalysisError, analyze, effect_rows,
+                              read_matrix, render_text, t_quantile_95,
+                              variation_rows, write_report_csvs)
 
 
 def reference_path(delay_class):
@@ -132,13 +131,6 @@ def test_unknown_level_and_bad_value_are_rejected():
     rows[3] = dict(rows[3], y=math.nan)
     with pytest.raises(AnalysisError, match="finite"):
         analyze(rows, "y")
-
-
-def test_single_replicate_needs_error_dof():
-    design = (Factor("a", ("x", "y")), Factor("b", ("u", "v")))
-    rows = [{"a": a, "b": b, "y": 1.0} for a in "xy" for b in "uv"]
-    with pytest.raises(AnalysisError, match="degrees of freedom"):
-        analyze(rows, "y", design=design)
 
 
 def test_report_rendering_and_csv_round_trip(tmp_path):
