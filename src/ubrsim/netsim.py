@@ -16,8 +16,8 @@ from .aal5 import Reassembler, Segment, segment_to_cells
 from .kernel import Simulator, seconds
 from .metrics import efficiency, fairness
 from .scenarios import RunSpec
-from .switchport import EgressLink, IngressLink, PolicyPort, cell_time_ns
-from .tcp import TcpEndpoint, TcpParams
+from .switchport import EgressLink, IngressLink, PolicyPort
+from .tcp import TcpEndpoint
 from .www import ClientApp, ServerApp
 
 
@@ -68,12 +68,6 @@ class Topology:
 
     def __init__(self, spec: RunSpec, log_drops: bool = False):
         sc = spec.scenario
-        # a port run's cells leave back to back; the port's blocks and the
-        # egress links' pure delay need an access link that keeps up
-        if cell_time_ns(sc.access_bps) > cell_time_ns(sc.bottleneck_bps):
-            raise ValueError(
-                f"access link rate {sc.access_bps:g} bps is slower than the "
-                f"bottleneck rate {sc.bottleneck_bps:g} bps")
         self.spec = spec
         self.sim = Simulator(seed=sc.seed)
         n = sc.connections
@@ -81,14 +75,13 @@ class Topology:
             PolicyPort(self.sim, name, sc.bottleneck_bps, spec.buffer_cells,
                        spec.drop_policy, n, log_drops=log_drops)
             for name in ("forward", "reverse"))
-        params = TcpParams(mss=sc.mss, rcv_wnd=sc.rcv_wnd,
-                           init_ssthresh=sc.init_ssthresh)
         duration_ns = seconds(sc.duration_s)
+        presets = (sc.mss, sc.rcv_wnd, sc.init_ssthresh)
         self.servers: list[TcpEndpoint] = []
         self.clients: list[TcpEndpoint] = []
         self.client_apps: list[ClientApp] = []
         for c in range(n):
-            server, client = (TcpEndpoint(self.sim, spec.tcp_flavor, params, None)
+            server, client = (TcpEndpoint(self.sim, spec.tcp_flavor, *presets, None)
                               for _ in range(2))
             # the server sends via the forward port, the client via the reverse
             for port, sender, receiver in ((self.forward, server, client),

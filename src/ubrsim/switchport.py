@@ -12,7 +12,7 @@ servers: a cell departs at max(arrival, previous departure) + 424/rate, with
 no per-cell transmission event.  A port retires the cells that have left
 before it judges an arrival; a departure at t retires before an arrival at
 t.  The closed forms for a run hold while the access links are at least as
-fast as the bottleneck, which the topology checks.
+fast as the bottleneck, which the scenario's rates guarantee and a test pins.
 """
 
 from __future__ import annotations

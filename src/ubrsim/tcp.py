@@ -23,8 +23,6 @@ snd_una to snd_nxt; the ACK that covers a record drops it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .aal5 import Segment
 from .kernel import NS_PER_MS, NS_PER_SEC, Simulator
 
@@ -49,13 +47,6 @@ def initial_ssthresh(rtt_s: float, bottleneck_bps: float) -> int:
     return round(rtt_s * bottleneck_bps / 8)
 
 
-@dataclass(frozen=True)
-class TcpParams:
-    mss: int
-    rcv_wnd: int
-    init_ssthresh: int
-
-
 class SegRecord:
     __slots__ = ("start", "end", "sacked", "rtx")
 
@@ -73,12 +64,14 @@ class SegRecord:
 class TcpEndpoint:
     """One side of a pre-established duplex TCP connection."""
 
-    def __init__(self, sim: Simulator, flavor: str, params: TcpParams, transmit):
+    def __init__(self, sim: Simulator, flavor: str, mss: int, rcv_wnd: int,
+                 init_ssthresh: int, transmit):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
         self.sim = sim
         self.flavor = flavor
-        self.params = params
+        self.mss = mss
+        self.rcv_wnd = rcv_wnd
         self.transmit = transmit      # transmit(Segment)
         self.app_recv = None          # app_recv(newly delivered in-order bytes)
 
@@ -86,8 +79,8 @@ class TcpEndpoint:
         self.snd_una = 0
         self.snd_nxt = 0              # high-water mark, never rewinds
         self.app_bytes = 0            # total bytes the application wrote
-        self.cwnd = float(params.mss)
-        self.ssthresh = float(params.init_ssthresh)
+        self.cwnd = float(mss)
+        self.ssthresh = float(init_ssthresh)
         self._recs: list[SegRecord] = []  # the unacknowledged segments
         self._cursor_i = 0            # next record to (re)transmit
         self.dupacks = 0
@@ -141,7 +134,7 @@ class TcpEndpoint:
         if self.in_recovery and self.flavor == SACK:
             self._sack_send()
             return
-        win = min(int(self.cwnd), self.params.rcv_wnd)
+        win = min(int(self.cwnd), self.rcv_wnd)
         while True:
             if self._cursor_i < len(self._recs):
                 rec = self._recs[self._cursor_i]
@@ -160,7 +153,7 @@ class TcpEndpoint:
 
         Returns its size, or 0 when there is nothing to send or no room.
         """
-        size = min(self.params.mss, self.app_bytes - self.snd_nxt)
+        size = min(self.mss, self.app_bytes - self.snd_nxt)
         if size <= 0 or self.snd_nxt + size - self.snd_una > win:
             return 0
         rec = SegRecord(self.snd_nxt, self.snd_nxt + size)
@@ -198,7 +191,6 @@ class TcpEndpoint:
         if self._timed_end is not None and ack >= self._timed_end:
             self._rtt_sample(self.sim.now - self._timed_at)
             self._timed_end = None
-        p = self.params
         if self.in_recovery:
             if self.flavor == RENO or ack >= self.recover:
                 self.cwnd = self.ssthresh          # deflate, episode over
@@ -206,12 +198,12 @@ class TcpEndpoint:
             elif self.flavor == NEWRENO:
                 # partial ACK: next hole starts at the new snd_una
                 self._emit(recs[0], True)
-                self.cwnd = max(self.cwnd - acked + p.mss, float(p.mss))
+                self.cwnd = max(self.cwnd - acked + self.mss, float(self.mss))
         else:
             if self.cwnd < self.ssthresh:
-                self.cwnd += p.mss                 # slow start
+                self.cwnd += self.mss              # slow start
             else:
-                self.cwnd += p.mss * p.mss / self.cwnd
+                self.cwnd += self.mss * self.mss / self.cwnd
         self.dupacks = 0
         if self.snd_una < self.snd_nxt:
             self._restart_timer()
@@ -224,10 +216,9 @@ class TcpEndpoint:
         flavor = self.flavor
         if flavor == VANILLA:
             return
-        p = self.params
         if self.in_recovery:
             if flavor != SACK:
-                self.cwnd += p.mss                 # inflation
+                self.cwnd += self.mss              # inflation
             self._try_send()
             return
         if self.dupacks != DUP_THRESH:
@@ -242,7 +233,7 @@ class TcpEndpoint:
             self.cwnd = self.ssthresh
         else:
             self._emit(self._recs[0], True)
-            self.cwnd = self.ssthresh + DUP_THRESH * p.mss
+            self.cwnd = self.ssthresh + DUP_THRESH * self.mss
         self._try_send()
         self._restart_timer()
 
@@ -253,7 +244,7 @@ class TcpEndpoint:
         starts a new episode of SACK retransmissions.
         """
         flight = self.snd_nxt - self.snd_una
-        self.ssthresh = float(max(flight // 2, 2 * self.params.mss))
+        self.ssthresh = float(max(flight // 2, 2 * self.mss))
         self.recover = self.snd_nxt
         for r in self._recs:
             r.rtx = False
@@ -275,8 +266,7 @@ class TcpEndpoint:
 
     def _sack_send(self) -> None:
         """Scoreboard pass: find losses, compute pipe, send while pipe < cwnd."""
-        p = self.params
-        thresh = DUP_THRESH * p.mss
+        thresh = DUP_THRESH * self.mss
         suffix = 0
         pipe = 0
         candidates = []                # lost, not yet retransmitted this episode
@@ -296,7 +286,7 @@ class TcpEndpoint:
             self._emit(rec, True)
             pipe += rec.end - rec.start
         while pipe < cwnd_i:
-            size = self._send_new(p.rcv_wnd)
+            size = self._send_new(self.rcv_wnd)
             if not size:
                 return
             pipe += size
@@ -323,7 +313,7 @@ class TcpEndpoint:
         """The retransmission timer expired."""
         self.timeouts += 1
         self._on_loss()
-        self.cwnd = float(self.params.mss)
+        self.cwnd = float(self.mss)
         if self.backoff < 12:
             self.backoff += 1
         self.in_recovery = False
@@ -344,7 +334,7 @@ class TcpEndpoint:
 
     def _on_data(self, seg: Segment) -> None:
         start, end = seg.seq, seg.seq + seg.length
-        if end > self.rcv_nxt + self.params.rcv_wnd:
+        if end > self.rcv_nxt + self.rcv_wnd:
             self.window_drops += 1
             self._send_ack()
             return

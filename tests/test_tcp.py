@@ -8,7 +8,7 @@ import pytest
 from ubrsim.aal5 import Segment
 from ubrsim.kernel import NS_PER_MS, NS_PER_SEC, Simulator
 from ubrsim.tcp import (FLAVORS, NEWRENO, RENO, SACK, VANILLA, TcpEndpoint,
-                        TcpParams, initial_ssthresh)
+                        initial_ssthresh)
 
 MSS = 1000
 RTT_MS = 100
@@ -48,9 +48,8 @@ class Wire:
 def make_pair(flavor, mss=MSS, rcv_wnd=1_000_000, ssthresh=1_000_000,
               delay_ms=RTT_MS // 2):
     sim = Simulator()
-    params = TcpParams(mss=mss, rcv_wnd=rcv_wnd, init_ssthresh=ssthresh)
-    sender = TcpEndpoint(sim, flavor, params, None)
-    receiver = TcpEndpoint(sim, flavor, params, None)
+    sender = TcpEndpoint(sim, flavor, mss, rcv_wnd, ssthresh, None)
+    receiver = TcpEndpoint(sim, flavor, mss, rcv_wnd, ssthresh, None)
     wire = Wire(sim, delay_ms * NS_PER_MS)
     sender.transmit = wire.tx(receiver)
     receiver.transmit = wire.tx(sender)
@@ -295,9 +294,9 @@ def test_sender_respects_receiver_window():
 
 def test_receiver_merges_out_of_order_ranges_and_orders_sack_blocks():
     sim = Simulator()
-    params = TcpParams(mss=MSS, rcv_wnd=1_000_000, init_ssthresh=1_000_000)
     acks = []
-    r = TcpEndpoint(sim, SACK, params, lambda seg: acks.append(seg))
+    r = TcpEndpoint(sim, SACK, MSS, 1_000_000, 1_000_000,
+                    lambda seg: acks.append(seg))
 
     def arrive(seq):
         r.on_frame(Segment(seq, MSS, None))
@@ -321,9 +320,9 @@ def test_receiver_merges_out_of_order_ranges_and_orders_sack_blocks():
 
 def test_receiver_drops_data_beyond_its_window():
     sim = Simulator()
-    params = TcpParams(mss=MSS, rcv_wnd=2 * MSS, init_ssthresh=1_000_000)
     acks = []
-    r = TcpEndpoint(sim, RENO, params, lambda seg: acks.append(seg))
+    r = TcpEndpoint(sim, RENO, MSS, 2 * MSS, 1_000_000,
+                    lambda seg: acks.append(seg))
     r.on_frame(Segment(5 * MSS, MSS, None))
     assert r.window_drops == 1
     assert r._ooo == []
@@ -374,6 +373,5 @@ def test_endpoint_invariants_hold_after_every_event_under_random_loss(flavor):
 
 def test_unknown_flavor_rejected():
     sim = Simulator()
-    params = TcpParams(mss=MSS, rcv_wnd=1000, init_ssthresh=1000)
     with pytest.raises(ValueError):
-        TcpEndpoint(sim, "cubic", params, lambda s: None)
+        TcpEndpoint(sim, "cubic", MSS, 1000, 1000, lambda s: None)
