@@ -1,11 +1,11 @@
 """Full-factorial analysis for a three-factor experiment with one replicate.
 
 The experiment grid crosses TCP flavor (4) x buffer size (3) x drop policy
-(2) into 24 cells.  The analysis decomposes each response into a grand mean,
-additive main effects, and two-factor interactions; the three-factor
-interaction is treated as the error term (6 degrees of freedom), which also
-prices the confidence intervals.  Replicated cells (several seeds) are
-averaged before the decomposition.
+(2) into 24 cells.  The analysis decomposes each response into a grand mean
+and the effects of its terms, main effects and two-factor interactions, all
+estimated by one rule; the three-factor interaction is treated as the error
+term (6 degrees of freedom), which also prices the confidence intervals.
+Replicated cells (several seeds) are averaged before the decomposition.
 """
 
 from __future__ import annotations
@@ -48,6 +48,14 @@ FACTORS = {
     "buffer_rtt": BUFFER_LEVELS,
     "drop_policy": POLICIES,
 }
+# a term is a tuple of factor names: every main effect, then every pair;
+# the three-factor interaction is left to the residual
+TERMS = tuple(term for k in (1, 2) for term in combinations(FACTORS, k))
+
+
+def term_key(term: tuple):
+    """A term's key in `ss` and `dof`: a factor's name, or a pair's tuple."""
+    return term[0] if len(term) == 1 else term
 
 
 @dataclass
@@ -116,44 +124,36 @@ def analyze(rows, response: str) -> FactorialReport:
     n = len(full)
     grand = sum(y.values()) / n
 
-    effects: dict = {}
-    for i, (name, levels) in enumerate(FACTORS.items()):
-        per = {}
-        for lev in levels:
-            sel = [y[k] for k in full if k[i] == lev]
-            per[lev] = sum(sel) / len(sel) - grand
-        effects[name] = per
-
-    interactions: dict = {}
-    for ai, bi in combinations(range(len(names)), 2):
-        na, nb = names[ai], names[bi]
-        per = {}
-        for la in FACTORS[na]:
-            for lb in FACTORS[nb]:
-                sel = [y[k] for k in full if k[ai] == la and k[bi] == lb]
-                cell_mean = sum(sel) / len(sel)
-                per[(la, lb)] = cell_mean - (grand + effects[na][la]
-                                             + effects[nb][lb])
-        interactions[na, nb] = per
-
-    ss: dict = {}
-    dof: dict = {}
     sum_sq = sum(v * v for v in y.values())
-    ss["total"] = sum_sq - n * grand * grand
-    dof["total"] = n - 1
-    for name, levels in FACTORS.items():
-        reps = n // len(levels)
-        ss[name] = reps * sum(e * e for e in effects[name].values())
-        dof[name] = len(levels) - 1
-    for (na, nb), per in interactions.items():
-        la = len(FACTORS[na])
-        lb = len(FACTORS[nb])
-        reps = n // (la * lb)
-        ss[na, nb] = reps * sum(e * e for e in per.values())
-        dof[na, nb] = (la - 1) * (lb - 1)
+    ss = {"total": sum_sq - n * grand * grand}
+    dof = {"total": n - 1}
+    table: dict = {}      # term -> {levels: effect}
+    effect_at: dict = {}  # ((name, level), ...) -> that term's effect there
+    for term in TERMS:
+        cols = [names.index(name) for name in term]
+        per = table[term] = {}
+        for levels in product(*(FACTORS[name] for name in term)):
+            at = tuple(zip(term, levels))
+            sel = [y[k] for k in full
+                   if all(k[c] == lev for c, lev in zip(cols, levels))]
+            # the cells' mean, less the grand mean and every lower term's
+            # effect at these levels, single factors first
+            fitted = grand
+            for j in range(1, len(term)):
+                for sub in combinations(at, j):
+                    fitted += effect_at[sub]
+            per[levels] = effect_at[at] = sum(sel) / len(sel) - fitted
+        key = term_key(term)
+        sizes = [len(FACTORS[name]) for name in term]
+        ss[key] = n // math.prod(sizes) * sum(e * e for e in per.values())
+        dof[key] = math.prod(size - 1 for size in sizes)
+    effects = {name: {lev: e for (lev,), e in table[(name,)].items()}
+               for name in names}
+    interactions = {term: table[term] for term in TERMS if len(term) == 2}
 
-    explained = sum(ss[name] for name in names)
-    explained += sum(ss[k] for k in interactions)
+    # the main effects' sum plus the pairs': this order fixes every digit
+    explained = sum(sum(ss[term_key(t)] for t in TERMS if len(t) == k)
+                    for k in (1, 2))
     residual = ss["total"] - explained
     if residual < 0:
         if residual < -1e-9 * max(1.0, ss["total"]):
@@ -161,8 +161,7 @@ def analyze(rows, response: str) -> FactorialReport:
         residual = 0.0
     ss["residual"] = residual
     # the three-factor interaction's (4 - 1) * (3 - 1) * (2 - 1) = 6, never 0
-    dof["residual"] = (dof["total"] - sum(dof[name] for name in names)
-                       - sum(dof[k] for k in interactions))
+    dof["residual"] = dof["total"] - sum(dof[term_key(t)] for t in TERMS)
 
     s_e = math.sqrt(residual / dof["residual"])
     t_crit = t_quantile_95(dof["residual"])
@@ -183,11 +182,9 @@ def _fmt(v: float) -> str:
 def variation_rows(report: FactorialReport) -> list:
     """Component, sum of squares, share of total variation (percent)."""
     rows = []
-    for name in FACTORS:
-        rows.append((name, report.ss[name], report.pct(name)))
-    for key in report.interactions:
-        label = f"{key[0]} x {key[1]}"
-        rows.append((label, report.ss[key], report.pct(key)))
+    for term in TERMS:
+        key = term_key(term)
+        rows.append((" x ".join(term), report.ss[key], report.pct(key)))
     rows.append(("residual", report.ss["residual"], report.pct("residual")))
     rows.append(("total", report.ss["total"], 100.0 if report.ss["total"] else 0.0))
     return rows

@@ -147,15 +147,18 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
         raise ValueError(f"connections must be at least 1, got {conns}")
     if duration <= 0:
         raise ValueError(f"duration_s must be positive, got {duration}")
+    # one rule for given and derived sizes: a tiny scale rounds the half-RTT
+    # buffer down to 0 cells, and the message then names the scale
     if buffers is None:
         table = buffer_table(delay_class, scale, conns)
         buffers = tuple(table[level] for level in BUFFER_LEVELS)
+        source = f"scale {scale} derives"
     else:
-        buffers = tuple(buffers)
-        if len(buffers) != len(BUFFER_LEVELS) or not all(
-                type(b) is int and b > 0 for b in buffers):
-            raise ValueError(f"buffers must be {len(BUFFER_LEVELS)} positive "
-                             f"buffer sizes in cells, got {buffers}")
+        buffers, source = tuple(buffers), "got"
+    if len(buffers) != len(BUFFER_LEVELS) or not all(
+            type(b) is int and b > 0 for b in buffers):
+        raise ValueError(f"buffers must be {len(BUFFER_LEVELS)} positive "
+                         f"buffer sizes in cells, {source} {buffers}")
     return Scenario(delay_class=delay_class, scale=scale, seed=seed,
                     connections=conns, duration_s=duration, buffers=buffers)
 

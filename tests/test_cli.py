@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, output files, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ import pytest
 import ubrsim
 from ubrsim import experiment
 from ubrsim.cli import main
+from ubrsim.experiment import run_grid, write_results
+from ubrsim.scenarios import build_scenario
 
 
 def run_grid_to(tmp_path, name, extra_cfg="", argv_extra=()):
@@ -153,6 +156,50 @@ def test_oracle_all_classes_and_metrics(capsys):
     for cls in ("wan", "meo", "geo"):
         for metric in ("efficiency", "fairness"):
             assert f"=== reference table: {cls} / {metric} ===" in txt
+
+
+# SHA-256 of the analyzer's output: `ubrsim oracle`'s stdout (every class and
+# metric), and `analyze --out`'s stdout, variation CSV and effects CSV for
+# the tiny wan grid whose results CSV `RESULTS_DIGESTS["wan"]` pins (seed 3,
+# scale 0.1, 2 connections, 1 s).  A refactor of the analysis keeps every
+# printed and written digit.
+ORACLE_DIGEST = "fe76f123e2f997b605d57903f47a068373629e9fc0baa83486dc422bf7da7caa"
+ANALYZE_DIGESTS = {
+    "efficiency": (
+        "c11d0329f957facfdb0b9678cb2c4591c423b59f151c38355bd9a08af4c083f3",
+        "b777804185e12973cbb6565dc564c524bdd9ba1b62e38aaff87e58b1524dbf50",
+        "a4c9c2d39ef7ee3bfbcf8ae1686a07b5e60523a3bdcceb386dc3e09063a5a310",
+    ),
+    "fairness": (
+        "5f379f050d70d9ad515ad357b16c8675c32c4544ee0b0e7b4c50751bc4cdc47a",
+        "c4d9128fd49307dddfde760ca35cfdcfffc8a44f65d71184c05a0f25e9247ad8",
+        "909c7f044246b5f46f2d7aa2703c307ee8e1f16ab8d757efe77a55b0794d36ae",
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_oracle_output_is_pinned_byte_for_byte(capsys):
+    assert main(["oracle"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == ORACLE_DIGEST
+
+
+def test_analyze_output_is_pinned_byte_for_byte(tmp_path, capsys):
+    sc = build_scenario("wan", seed=3, scale=0.1, connections=2, duration_s=1.0)
+    results = tmp_path / "res.csv"
+    with open(results, "w", newline="") as fh:
+        write_results(run_grid(sc), fh)
+    for metric, digests in ANALYZE_DIGESTS.items():
+        prefix = tmp_path / metric
+        assert main(["analyze", "--metric", metric, "--in", str(results),
+                     "--out", str(prefix)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        written = [(tmp_path / f"{metric}.{part}.csv").read_bytes()
+                   for part in ("variation", "effects")]
+        assert tuple(map(_sha256, [stdout, *written])) == digests
 
 
 def test_usage_errors_exit_2(capsys):

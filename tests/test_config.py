@@ -81,6 +81,14 @@ def test_out_of_range_value():
         from_text("buffers = 54, 0, 230\n")
 
 
+def test_derived_buffers_fail_at_the_line_of_scale():
+    # no file line sets buffers: they derive from scale, whose line is named
+    with pytest.raises(ConfigError, match=r"^config:2: buffers must be 3 "
+                       r"positive buffer sizes in cells, scale 1e-12 derives "
+                       r"\(0, 0, 46\)$"):
+        from_text("connections = 2\nscale = 1e-12\nduration_s = 0.5\n")
+
+
 def test_duplicate_key_points_at_both_lines():
     with pytest.raises(ConfigError,
                        match=r"config:3: duplicate key 'seed' \(first set on line 1\)"):

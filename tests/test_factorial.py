@@ -5,6 +5,8 @@ import math
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ubrsim.factorial import (T_TABLE_95, AnalysisError, analyze, effect_rows,
                               read_matrix, render_text, t_quantile_95,
@@ -80,6 +82,27 @@ def test_replicates_are_averaged_per_cell():
             jittered.append(r2)
     assert analyze(jittered, "y").grand_mean == \
         pytest.approx(analyze(rows, "y").grand_mean)
+
+
+@given(values=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                       min_size=24, max_size=24),
+       r=st.sampled_from((2, 3)))
+def test_identical_replicates_give_the_one_replicate_analysis(values, r):
+    keys = [(p, f, b) for p in POLICIES for f in FLAVORS for b in BUFFERS]
+    rows = rows_from(dict(zip(keys, values)))
+    one = analyze(rows, "y")
+    rep = analyze([dict(row) for row in rows for _ in range(r)], "y")
+    # averaging r equal values may round, so the two agree to rounding
+    assert rep.n == one.n == 24
+    assert rep.grand_mean == pytest.approx(one.grand_mean, abs=1e-12)
+    for name, per in one.effects.items():
+        assert rep.effects[name] == pytest.approx(per, abs=1e-12)
+    for term, per in one.interactions.items():
+        assert rep.interactions[term] == pytest.approx(per, abs=1e-12)
+    assert rep.ss == pytest.approx(one.ss, abs=1e-9)
+    assert rep.dof == one.dof
+    # s_e is the root of a difference of sums near 24, so it moves more
+    assert rep.s_e == pytest.approx(one.s_e, abs=1e-6)
 
 
 def test_reference_wan_efficiency_statistics():

@@ -86,6 +86,10 @@ def test_scenario_validation():
         build_scenario("wan", buffers=(10, 20))
     with pytest.raises(ValueError, match="positive"):
         build_scenario("wan", buffers=(10, 0, 40))
+    # a tiny scale derives a 0-cell half-RTT buffer, which no port can hold
+    with pytest.raises(ValueError, match=r"^buffers must be 3 positive buffer "
+                       r"sizes in cells, scale 1e-12 derives \(0, 0, 46\)$"):
+        build_scenario("wan", scale=1e-12, connections=2, duration_s=0.5)
     # int() of an infinite size raises OverflowError, not a rule's message
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match=r"^buffers must be 3 positive"):
@@ -150,8 +154,9 @@ def test_a_scenario_is_six_inputs_and_derives_the_rest(delay_class, scale):
 def test_every_access_link_keeps_up_with_the_bottleneck(delay_class, scale):
     """A port run's cells leave back to back: the port's blocks and the
     egress links' pure delay need access links at least as fast as the
-    bottleneck.  Below about 1e-305, cell_time_ns overflows a float."""
-    sc = build_scenario(delay_class, scale=scale)
+    bottleneck.  Below about 1e-305, cell_time_ns overflows a float.  Scales
+    below about 1e-15 derive 0-cell buffers, so the buffers are given."""
+    sc = build_scenario(delay_class, scale=scale, buffers=(1, 2, 4))
     assert cell_time_ns(sc.access_bps) <= cell_time_ns(sc.bottleneck_bps)
 
 
