@@ -33,13 +33,17 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate all 24 policy/flavor/buffer cells")
     run.add_argument("--delay-class", required=True, choices=CLASSES,
                      help="path delay regime (sets MSS, windows, buffers)")
-    run.add_argument("--seed", type=int, default=None,
-                     help="master seed (default 1, or the config value)")
-    run.add_argument("--scale", type=float, default=None,
+    # an unset --seed or --scale is not passed on: build_scenario's default holds
+    run.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                     help="master seed for all random streams")
+    run.add_argument("--scale", type=float, default=argparse.SUPPRESS,
                      help="shrink connections and rates together, e.g. 0.1")
-    run.add_argument("--config", default=None, help="key=value config file")
+    run.add_argument("--config", default=None,
+                     help="key=value file: connections, duration_s, buffers")
     run.add_argument("--out", default="-",
                      help="results CSV path, - for stdout (default)")
+    run.add_argument("--drop-log", action="store_true",
+                     help="log every drop decision to <out>.drops.csv")
     run.add_argument("--workers", type=int, default=1,
                      help="worker processes for the grid (default 1)")
     run.add_argument("--quiet", action="store_true",
@@ -64,11 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    scenario = scenario_from_config(args.delay_class, cfg,
-                                    seed=args.seed, scale=args.scale)
-    log_drops = bool(cfg.get("drop_log", False))
-    if log_drops and args.out == "-":
-        raise ConfigError("drop_log=true needs --out, the log is written "
+    inputs = {k: v for k, v in vars(args).items() if k in ("seed", "scale")}
+    scenario = scenario_from_config(args.delay_class, cfg, **inputs)
+    if args.drop_log and args.out == "-":
+        raise ConfigError("--drop-log needs --out, the log is written "
                           "next to the results file")
 
     def progress(i, total, res):
@@ -78,10 +81,10 @@ def _cmd_run(args) -> int:
               f"{res.buffer_rtt:>3} rtt  eff={res.efficiency:.4f} "
               f"fair={res.fairness:.4f} ({res.status})", file=sys.stderr)
 
-    results = run_grid(scenario, workers=args.workers, log_drops=log_drops,
+    results = run_grid(scenario, workers=args.workers, log_drops=args.drop_log,
                        progress=progress)
     write_results(results, args.out)
-    if log_drops:
+    if args.drop_log:
         n = write_drop_logs(results, args.out + ".drops.csv")
         if not args.quiet:
             print(f"drop log: {n} rows -> {args.out}.drops.csv", file=sys.stderr)

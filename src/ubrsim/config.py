@@ -3,17 +3,15 @@
 Example:
 
     # desk-size check run
-    scale = 0.1
     duration_s = 20
     connections = 10
-    drop_log = false
 
-Unknown keys, duplicate keys and values that do not convert are rejected
-here with their line number.  The range rules live only in `build_scenario`;
-`scenario_from_config` reports their errors at the latest line that set a
-key the message names.  The traffic law is fixed (`ubrsim.www`), so no key
-sets it.  Command-line `--seed` and `--scale` win over file values, which
-are then never judged.
+A file holds only the scenario's shape; `ubrsim run --seed`, `--scale` and
+`--drop-log` set the rest.  Unknown keys, duplicate keys and values that do
+not convert are rejected here with their line number.  The range rules live
+only in `build_scenario`; `scenario_from_config` reports their errors at the
+latest line that set a key the message names.  The traffic law is fixed
+(`ubrsim.www`), so no key sets it.
 """
 
 from __future__ import annotations
@@ -25,15 +23,6 @@ class ConfigError(ValueError):
     """Raised for unparseable or out-of-range configuration input."""
 
 
-def _bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _ints(text: str) -> tuple:
     # int() ignores the spaces around each comma-separated part
     return tuple(map(int, text.split(",")))
@@ -41,12 +30,9 @@ def _ints(text: str) -> tuple:
 
 # key -> (converter, type phrase shown when a value does not convert)
 SCHEMA = {
-    "scale": (float, "a number"),
     "connections": (int, "an integer"),
     "duration_s": (float, "a number"),
-    "seed": (int, "an integer"),
     "buffers": (_ints, "comma-separated integers"),
-    "drop_log": (_bool, "true or false"),
 }
 
 
@@ -95,25 +81,15 @@ def load_config(path: str) -> ConfigValues:
     return parse_config_text(text, source=path)
 
 
-def scenario_from_config(delay_class: str, cfg: dict, seed: int | None = None,
-                         scale: float | None = None) -> Scenario:
-    """Build a scenario from config values plus command-line overrides.
+def scenario_from_config(delay_class: str, cfg: dict, **inputs) -> Scenario:
+    """Build a scenario from a file's values and the other `build_scenario`
+    inputs (`seed`, `scale`), which are passed on unchanged.
 
-    A rule's error gets the latest line of a file key its message names,
-    unless an override replaced that key.
+    A rule's error gets the latest line of a file key its message names.
     """
-    overridden = {k for k, v in (("seed", seed), ("scale", scale)) if v is not None}
     try:
-        return build_scenario(
-            delay_class,
-            seed=seed if seed is not None else cfg.get("seed", 1),
-            scale=scale if scale is not None else cfg.get("scale", 1.0),
-            connections=cfg.get("connections"),
-            duration_s=cfg.get("duration_s"),
-            buffers=cfg.get("buffers"),
-        )
+        return build_scenario(delay_class, **cfg, **inputs)
     except ValueError as exc:
-        named = [n for k, n in getattr(cfg, "lines", {}).items()
-                 if k not in overridden and k in str(exc)]
+        named = [n for k, n in getattr(cfg, "lines", {}).items() if k in str(exc)]
         where = f"{cfg.source}:{max(named)}: " if named else ""
         raise ConfigError(f"{where}{exc}") from None

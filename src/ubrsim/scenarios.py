@@ -83,7 +83,8 @@ class Scenario:
     duration_s: float
     buffers: tuple            # cells, aligned with BUFFER_LEVELS
 
-    access_prop_ns = 5 * NS_PER_US  # a constant, not a field: each access link's
+    # a constant, not a field: every access link's delay, in any class and scale
+    access_prop_ns = 5 * NS_PER_US
 
     @property
     def mss(self) -> int:

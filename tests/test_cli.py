@@ -16,9 +16,9 @@ from ubrsim.experiment import run_grid, write_results
 from ubrsim.scenarios import build_scenario
 
 
-def run_grid_to(tmp_path, name, extra_cfg="", argv_extra=()):
+def run_grid_to(tmp_path, name, argv_extra=()):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("connections = 1\nduration_s = 0.5\n" + extra_cfg)
+    cfg.write_text("connections = 1\nduration_s = 0.5\n")
     out = tmp_path / name
     rc = main(["run", "--delay-class", "wan", "--scale", "0.1", "--seed", "1",
                "--config", str(cfg), "--out", str(out), "--quiet",
@@ -57,15 +57,16 @@ def test_run_is_byte_deterministic(tmp_path):
 
 def test_run_drop_log_needs_out_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("connections = 1\nduration_s = 0.5\ndrop_log = true\n")
+    cfg.write_text("connections = 1\nduration_s = 0.5\n")
     rc = main(["run", "--delay-class", "wan", "--scale", "0.1",
-               "--config", str(cfg), "--quiet"])
+               "--config", str(cfg), "--drop-log", "--quiet"])
     assert rc == 1
-    assert "drop_log=true needs --out" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: --drop-log needs --out, the log "
+                                       "is written next to the results file\n")
 
 
 def test_run_drop_log_written_next_to_results(tmp_path):
-    rc, out = run_grid_to(tmp_path, "res.csv", extra_cfg="drop_log = true\n")
+    rc, out = run_grid_to(tmp_path, "res.csv", argv_extra=("--drop-log",))
     assert rc == 0
     drops = tmp_path / "res.csv.drops.csv"
     assert drops.exists()
@@ -156,6 +157,21 @@ def test_oracle_all_classes_and_metrics(capsys):
     for cls in ("wan", "meo", "geo"):
         for metric in ("efficiency", "fairness"):
             assert f"=== reference table: {cls} / {metric} ===" in txt
+
+
+def test_oracle_out_writes_what_analyze_writes_for_each_table(tmp_path, capsys):
+    assert main(["oracle", "--out", str(tmp_path / "oracle")]) == 0
+    data = Path(ubrsim.__file__).parent / "data"
+    for cls in ("wan", "meo", "geo"):
+        for metric in ("efficiency", "fairness"):
+            assert main(["analyze", "--metric", metric,
+                         "--in", str(data / f"reference_{cls}.csv"),
+                         "--out", str(tmp_path / "analyze")]) == 0
+            for part in ("variation", "effects"):
+                written = tmp_path / f"oracle.{cls}.{metric}.{part}.csv"
+                expected = tmp_path / f"analyze.{part}.csv"
+                assert written.read_bytes() == expected.read_bytes()
+    assert len(list(tmp_path.glob("oracle.*.csv"))) == 12
 
 
 # SHA-256 of the analyzer's output: `ubrsim oracle`'s stdout (every class and
