@@ -13,13 +13,14 @@ import argparse
 import sys
 
 from . import __version__
-from .config import ConfigError, load_config, scenario_from_config
 from .experiment import run_grid, write_drop_logs, write_results
 from .factorial import analyze, read_matrix, render_text, write_report_csvs
-from .scenarios import DELAY_CLASSES
+from .scenarios import DELAY_CLASSES, build_scenario
 
 CLASSES = tuple(DELAY_CLASSES)
 METRICS = ("efficiency", "fairness")
+# the `build_scenario` inputs that `run` takes as flags
+SCENARIO_INPUTS = ("seed", "scale", "connections", "duration_s", "buffers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,13 +34,17 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate all 24 policy/flavor/buffer cells")
     run.add_argument("--delay-class", required=True, choices=CLASSES,
                      help="path delay regime (sets MSS, windows, buffers)")
-    # an unset --seed or --scale is not passed on: build_scenario's default holds
+    # an unset scenario input is not passed on: build_scenario's default holds
     run.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                      help="master seed for all random streams")
     run.add_argument("--scale", type=float, default=argparse.SUPPRESS,
                      help="shrink connections and rates together, e.g. 0.1")
-    run.add_argument("--config", default=None,
-                     help="key=value file: connections, duration_s, buffers")
+    run.add_argument("--connections", type=int, default=argparse.SUPPRESS,
+                     help="client/server pairs")
+    run.add_argument("--duration-s", type=float, default=argparse.SUPPRESS,
+                     help="simulated seconds")
+    run.add_argument("--buffers", type=int, nargs=3, default=argparse.SUPPRESS,
+                     metavar="K", help="0.5, 1 and 2 RTT buffers in cells")
     run.add_argument("--out", default="-",
                      help="results CSV path, - for stdout (default)")
     run.add_argument("--drop-log", action="store_true",
@@ -67,12 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    inputs = {k: v for k, v in vars(args).items() if k in ("seed", "scale")}
-    scenario = scenario_from_config(args.delay_class, cfg, **inputs)
+    inputs = {k: v for k, v in vars(args).items() if k in SCENARIO_INPUTS}
+    scenario = build_scenario(args.delay_class, **inputs)
     if args.drop_log and args.out == "-":
-        raise ConfigError("--drop-log needs --out, the log is written "
-                          "next to the results file")
+        raise ValueError("--drop-log needs --out, the log is written "
+                         "next to the results file")
 
     def progress(i, total, res):
         if args.quiet:
@@ -134,7 +138,7 @@ def main(argv=None) -> int:
             return _cmd_analyze(args)
         return _cmd_oracle(args)
     except (ValueError, OSError) as exc:
-        # every input error is a ValueError: ConfigError, AnalysisError,
+        # every input error is a ValueError: build_scenario's, AnalysisError,
         # MetricError and run_grid's own
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -55,7 +55,8 @@ def run_grid(scenario: Scenario, workers: int = 1, log_drops: bool = False,
              progress=None) -> list:
     """Execute every grid cell; results come back in canonical order.
 
-    Only a pool imports multiprocessing, so a serial grid never pays for it.
+    Only a pool imports multiprocessing, so a serial grid never pays for it,
+    and a pool starts no more workers than there are cells.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -64,7 +65,7 @@ def run_grid(scenario: Scenario, workers: int = 1, log_drops: bool = False,
     if workers <= 1:
         return _collect(map(job, specs), len(specs), progress)
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
         futures = [pool.submit(job, spec) for spec in specs]
         rows = map(partial(_pool_result, job), futures, specs)
         return _collect(rows, len(specs), progress)

@@ -68,7 +68,8 @@ def fairness(throughputs, demands, mss: int, bottleneck_bps: float) -> float:
 
     Connections with zero fair share are excluded when they also moved no
     data; a connection with goodput but no allocated share means the demand
-    accounting is broken, which is reported rather than masked.
+    accounting is broken, which is reported rather than masked.  A run in
+    which no connection has a share measured nothing, and is refused too.
     """
     if len(throughputs) != len(demands):
         raise MetricError("throughputs and demands lengths differ")
@@ -82,4 +83,6 @@ def fairness(throughputs, demands, mss: int, bottleneck_bps: float) -> float:
                     f"connection {i} moved {x} bps against a zero fair share")
             continue
         ratios.append(x / e)
+    if not ratios:
+        raise MetricError("no connection offered any load")
     return jain_index(ratios)

@@ -125,7 +125,7 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
         raise ValueError(f"unknown delay class {delay_class!r}; "
                          f"choose from {', '.join(DELAY_CLASSES)}")
     duration = DEFAULT_DURATION_S if duration_s is None else duration_s
-    # each message starts with its key: config files report that key's line.
+    # each message starts with its key, through the API and `ubrsim run` alike.
     # A bool is an int to isinstance, but True would reach the row and the
     # seed's text, from which the random streams derive
     for key, value, kinds, phrase in (
@@ -155,9 +155,11 @@ def build_scenario(delay_class: str, seed: int = 1, scale: float = 1.0,
         buffers = tuple(table[level] for level in BUFFER_LEVELS)
         source = f"scale {scale} derives"
     else:
-        buffers, source = tuple(buffers), "got"
-    if len(buffers) != len(BUFFER_LEVELS) or not all(
-            type(b) is int and b > 0 for b in buffers):
+        # `run --buffers` gives a list; a lone size fails the rule below
+        buffers = tuple(buffers) if isinstance(buffers, list) else buffers
+        source = "got"
+    if (type(buffers) is not tuple or len(buffers) != len(BUFFER_LEVELS)
+            or not all(type(b) is int and b > 0 for b in buffers)):
         raise ValueError(f"buffers must be {len(BUFFER_LEVELS)} positive "
                          f"buffer sizes in cells, {source} {buffers}")
     return Scenario(delay_class=delay_class, scale=scale, seed=seed,

@@ -430,20 +430,18 @@ def test_criterion_6_mechanism_invariants(trend_runs):
 
 
 def test_criterion_7_byte_identical_reruns(tmp_path):
-    cfg = tmp_path / "repro.cfg"
-    cfg.write_text("connections = 3\nduration_s = 3\n")
     outs = []
     codes = []
     for name in ("first.csv", "second.csv"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "ubrsim", "run", "--delay-class", "wan",
-             "--scale", "0.1", "--seed", "1", "--config", str(cfg),
-             "--out", str(out), "--quiet"],
+             "--scale", "0.1", "--seed", "1", "--connections", "3",
+             "--duration-s", "3", "--out", str(out), "--quiet"],
             capture_output=True, text=True)
         codes.append(proc.returncode)
         outs.append(out.read_bytes() if out.exists() else b"")
-    gate(7, "byte-identical results for identical config and seed", [
+    gate(7, "byte-identical results for identical inputs and seed", [
         (f"both invocations exit 0 (got {codes})", codes == [0, 0]),
         ("results files non-empty", all(outs)),
         ("byte-identical CSVs", outs[0] == outs[1]),

@@ -17,12 +17,10 @@ from ubrsim.scenarios import build_scenario
 
 
 def run_grid_to(tmp_path, name, argv_extra=()):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("connections = 1\nduration_s = 0.5\n")
     out = tmp_path / name
     rc = main(["run", "--delay-class", "wan", "--scale", "0.1", "--seed", "1",
-               "--config", str(cfg), "--out", str(out), "--quiet",
-               *argv_extra])
+               "--connections", "1", "--duration-s", "0.5", "--out", str(out),
+               "--quiet", *argv_extra])
     return rc, out
 
 
@@ -38,10 +36,9 @@ def test_run_writes_full_grid_csv(tmp_path, capsys):
 
 
 def test_run_progress_lines_on_stderr(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("connections = 1\nduration_s = 0.5\n")
     rc = main(["run", "--delay-class", "wan", "--scale", "0.1",
-               "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+               "--connections", "1", "--duration-s", "0.5",
+               "--out", str(tmp_path / "r.csv")])
     assert rc == 0
     err = capsys.readouterr().err
     assert "[ 1/24]" in err and "[24/24]" in err
@@ -55,11 +52,10 @@ def test_run_is_byte_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_run_drop_log_needs_out_file(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("connections = 1\nduration_s = 0.5\n")
+def test_run_drop_log_needs_out_file(capsys):
     rc = main(["run", "--delay-class", "wan", "--scale", "0.1",
-               "--config", str(cfg), "--drop-log", "--quiet"])
+               "--connections", "1", "--duration-s", "0.5", "--drop-log",
+               "--quiet"])
     assert rc == 1
     assert capsys.readouterr().err == ("error: --drop-log needs --out, the log "
                                        "is written next to the results file\n")
@@ -81,13 +77,6 @@ def test_run_rejects_bad_flags(tmp_path, capsys):
     rc = main(["run", "--delay-class", "wan", "--workers", "0", "--quiet"])
     assert rc == 1
     assert "error: workers must be >= 1, got 0\n" == capsys.readouterr().err
-
-
-def test_run_missing_config_file(tmp_path, capsys):
-    rc = main(["run", "--delay-class", "wan",
-               "--config", str(tmp_path / "nope.cfg"), "--quiet"])
-    assert rc == 1
-    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_run_prints_each_failed_cell_traceback(tmp_path, capsys, monkeypatch):
@@ -240,14 +229,12 @@ def test_version_flag(capsys):
 def test_serial_run_imports_no_pool_traceback_or_resources(tmp_path):
     # a fresh interpreter runs a serial grid through the CLI; -S keeps `site`
     # from importing importlib.resources before ubrsim does
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("connections = 1\nduration_s = 0.5\n")
     script = f"""
 import json, sys
 import ubrsim.cli, ubrsim.experiment
 rc = ubrsim.cli.main(["run", "--delay-class", "wan", "--scale", "0.1",
-                      "--config", {str(cfg)!r}, "--out", {str(tmp_path / "r.csv")!r},
-                      "--quiet"])
+                      "--connections", "1", "--duration-s", "0.5",
+                      "--out", {str(tmp_path / "r.csv")!r}, "--quiet"])
 lazy = ("multiprocessing", "concurrent.futures", "traceback", "importlib.resources",
         "typing")
 print(json.dumps([rc, [m for m in lazy if m in sys.modules]]))

@@ -1,10 +1,10 @@
-"""README drift: the documented config keys, CSV columns and modules are the
+"""README drift: the documented run inputs, CSV columns and modules are the
 code's."""
 
 import re
 from pathlib import Path
 
-from ubrsim.config import SCHEMA
+from ubrsim.cli import SCENARIO_INPUTS
 from ubrsim.netsim import CSV_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -15,11 +15,12 @@ def section(title: str) -> str:
     return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
-def test_readme_config_table_lists_exactly_the_schema_keys():
-    rows = [line for line in section("Configuration files").splitlines()
+def test_readme_run_inputs_table_lists_exactly_the_scenario_flags():
+    rows = [line for line in section("Run inputs").splitlines()
             if line.startswith("| `")]
-    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
-    assert sorted(keys) == sorted(SCHEMA)
+    flags = [re.match(r"`(--[\w-]+)", row.split("|")[1].strip()).group(1)
+             for row in rows]
+    assert flags == ["--" + key.replace("_", "-") for key in SCENARIO_INPUTS]
 
 
 def test_readme_column_list_is_csv_columns():

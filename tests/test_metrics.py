@@ -81,6 +81,13 @@ def test_fairness_excludes_idle_connections():
     assert f == pytest.approx(1.0)
 
 
+def test_fairness_refuses_a_run_with_no_offered_load():
+    # with no fair share to measure against, Jain's index of nothing (1.0)
+    # would read as perfect fairness
+    with pytest.raises(MetricError, match="^no connection offered any load$"):
+        fairness([0.0, 0.0], [0.0, 0.0], 1024, 45e6)
+
+
 def test_fairness_detects_impossible_accounting():
     with pytest.raises(MetricError):
         fairness([1e6], [0.0], 1024, 45e6)

@@ -1,5 +1,6 @@
 """Scenario construction, end-to-end cell runs, grid execution, CSV output."""
 
+import concurrent.futures
 import dataclasses
 import gc
 import hashlib
@@ -109,6 +110,7 @@ def test_scenario_validation():
     ("duration_s", "20", "duration_s must be a number, got '20'"),
     ("scale", True, "scale must be a number, got True"),
     ("duration_s", True, "duration_s must be a number, got True"),
+    ("buffers", 5, "buffers must be 3 positive buffer sizes in cells, got 5"),
 ])
 def test_a_wrong_input_type_fails_with_its_key(key, value, message):
     # a bool is never a number here: True would run as 1 and print as True
@@ -187,6 +189,13 @@ def test_run_cell_smoke():
     assert len(res.goodputs) == res.connections == 2
     assert res.events > 0
     assert res.drop_logs is None
+
+
+def test_a_cell_with_no_offered_load_is_an_error_row():
+    # 50 ms is too short for any request to be answered
+    sc = tiny_scenario(connections=2, duration_s=0.05)
+    res = run_cell_safe(RunSpec(sc, "epd", "reno", "1"))
+    assert res.status == "error: MetricError: no connection offered any load"
 
 
 def test_run_cell_is_deterministic():
@@ -395,6 +404,31 @@ def test_run_grid_refuses_fewer_than_one_worker(workers):
     with pytest.raises(ValueError) as exc:
         run_grid(tiny_scenario(connections=1, duration_s=0.5), workers=workers)
     assert str(exc.value) == f"workers must be >= 1, got {workers}"
+
+
+def test_a_pool_starts_no_more_workers_than_cells(monkeypatch):
+    # a fork pool starts all its workers up front; this one runs jobs inline
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    results = run_grid(tiny_scenario(connections=1, duration_s=0.5), workers=1000)
+    assert started == [24]
+    assert [r.status for r in results] == ["ok"] * 24
 
 
 def _die_in_the_sd_reno_1_cell(spec, log_drops=False):
