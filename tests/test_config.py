@@ -32,6 +32,23 @@ def test_run_builds_the_scenario_of_the_flags_set(flags, inputs, tmp_path,
     assert built == [build_scenario("wan", **inputs)]
 
 
+def test_parse_list_values(tmp_path, monkeypatch):
+    # --buffers takes three sizes, which reach the scenario as a tuple
+    built = []
+    monkeypatch.setattr(cli, "run_grid", lambda sc, **kw: built.append(sc) or [])
+    assert main(run_argv(tmp_path, "--buffers", "54", "108", "230")) == 0
+    assert built[0].buffers == (54, 108, 230)
+
+
+def test_out_of_range_value(tmp_path, capsys):
+    for flags, message in (
+            (("--connections", "0"), "connections must be at least 1"),
+            (("--duration-s", "-3"), "duration_s must be positive"),
+            (("--buffers", "54", "0", "230"), "buffers must be 3 positive")):
+        assert main(run_argv(tmp_path, *flags)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_malformed_value_reports_requirement(tmp_path, capsys):
     # argparse refuses a value that does not convert, as a usage error
     for flags, complaint in (
@@ -44,8 +61,9 @@ def test_malformed_value_reports_requirement(tmp_path, capsys):
         assert capsys.readouterr().err.endswith(f"error: argument {complaint}\n")
 
 
-def test_derived_buffers_name_the_scale_flag(tmp_path, capsys):
-    # no flag sets buffers: they derive from --scale, which the message names
+def test_derived_buffers_name_the_scale_flag_and_no_file_line(tmp_path, capsys):
+    # no flag sets buffers: they derive from --scale, which the message names,
+    # and the error carries no path:line prefix
     message = ("buffers must be 3 positive buffer sizes in cells, "
                "scale 1e-12 derives (0, 0, 46)")
     assert main(run_argv(tmp_path, "--scale", "1e-12", "--connections", "2",
