@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="factorial analysis of a results CSV")
     an.add_argument("--metric", required=True, choices=METRICS)
     an.add_argument("--in", dest="infile", required=True, help="results CSV")
-    an.add_argument("--delay-class", choices=CLASSES, default=None,
-                    help="pick one class from a mixed results file")
     an.add_argument("--out", default=None,
                     help="prefix for <prefix>.effects.csv and <prefix>.variation.csv")
 
@@ -92,21 +90,30 @@ def _cmd_run(args) -> int:
         n = write_drop_logs(results, args.out + ".drops.csv")
         if not args.quiet:
             print(f"drop log: {n} rows -> {args.out}.drops.csv", file=sys.stderr)
-    failed = [r for r in results if r.status != "ok"]
-    for r in failed:
-        print(f"cell {r.drop_policy}/{r.tcp_flavor}/{r.buffer_rtt}: {r.status}",
+    failed = {}
+    for r in results:
+        if r.status != "ok":
+            failed.setdefault(r.status, []).append(r)
+    for status, rows in failed.items():
+        names = ", ".join(f"{r.drop_policy}/{r.tcp_flavor}/{r.buffer_rtt}"
+                          for r in rows)
+        print(f"cells {names} ({len(rows)} of {len(results)}): {status}",
               file=sys.stderr)
-        print(r.traceback, end="", file=sys.stderr)
+        print(rows[0].traceback, end="", file=sys.stderr)
     return 1 if failed else 0
 
 
-def _cmd_analyze(args) -> int:
-    rows = read_matrix(args.infile, args.metric, delay_class=args.delay_class)
-    report = analyze(rows, args.metric)
+def _report(rows, metric: str, prefix) -> None:
+    """Analyze `rows`, print the report, and write its CSVs under `prefix`."""
+    report = analyze(rows, metric)
     sys.stdout.write(render_text(report))
-    if args.out:
-        for path in write_report_csvs(report, args.out):
+    if prefix:
+        for path in write_report_csvs(report, prefix):
             print(f"wrote {path}", file=sys.stderr)
+
+
+def _cmd_analyze(args) -> int:
+    _report(read_matrix(args.infile, args.metric), args.metric, args.out)
     return 0
 
 
@@ -119,12 +126,8 @@ def _cmd_oracle(args) -> int:
         with resources.as_file(ref) as path:
             table_rows = read_matrix(str(path), metrics[0])
         for metric in metrics:
-            report = analyze(table_rows, metric)
             sys.stdout.write(f"=== reference table: {cls} / {metric} ===\n")
-            sys.stdout.write(render_text(report))
-            if args.out:
-                for path in write_report_csvs(report, f"{args.out}.{cls}.{metric}"):
-                    print(f"wrote {path}", file=sys.stderr)
+            _report(table_rows, metric, args.out and f"{args.out}.{cls}.{metric}")
     return 0
 
 

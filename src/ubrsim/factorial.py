@@ -221,29 +221,30 @@ def render_text(report: FactorialReport) -> str:
 
 def write_report_csvs(report: FactorialReport, prefix: str) -> list:
     """Write <prefix>.variation.csv and <prefix>.effects.csv; return paths."""
+    tables = (
+        ("variation", ("component", "sum_sq", "pct_of_total"),
+         [(name, f"{ssv:.6f}", f"{pct:.2f}")
+          for name, ssv, pct in variation_rows(report)]),
+        ("effects", ("term", "effect", "ci_low", "ci_high"),
+         [(term, f"{e:.6f}", f"{lo:.6f}", f"{hi:.6f}")
+          for term, e, lo, hi in effect_rows(report)]),
+    )
     paths = []
-    path = f"{prefix}.variation.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("component", "sum_sq", "pct_of_total"))
-        for name, ssv, pct in variation_rows(report):
-            w.writerow((name, f"{ssv:.6f}", f"{pct:.2f}"))
-    paths.append(path)
-    path = f"{prefix}.effects.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("term", "effect", "ci_low", "ci_high"))
-        for term, e, lo, hi in effect_rows(report):
-            w.writerow((term, f"{e:.6f}", f"{lo:.6f}", f"{hi:.6f}"))
-    paths.append(path)
+    for name, header, rows in tables:
+        path = f"{prefix}.{name}.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+        paths.append(path)
     return paths
 
 
-def read_matrix(path: str, response: str, delay_class: str | None = None) -> list:
-    """Load experiment rows from a results CSV, optionally filtering one class.
+def read_matrix(path: str, response: str) -> list:
+    """Load experiment rows from a results CSV of one delay class.
 
-    Raises AnalysisError when the file mixes delay classes and no filter was
-    given, since effects across classes are not comparable.
+    Raises AnalysisError when the file mixes delay classes, since effects
+    across classes are not comparable.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -256,16 +257,10 @@ def read_matrix(path: str, response: str, delay_class: str | None = None) -> lis
         raise AnalysisError(f"{path}: no data rows")
     if "delay_class" in rows[0]:
         classes = sorted({r["delay_class"] for r in rows})
-        if delay_class is not None:
-            rows = [r for r in rows if r["delay_class"] == delay_class]
-            if not rows:
-                raise AnalysisError(
-                    f"{path}: no rows for delay class {delay_class!r} "
-                    f"(present: {', '.join(classes)})")
-        elif len(classes) > 1:
+        if len(classes) > 1:
             raise AnalysisError(
                 f"{path}: mixes delay classes {', '.join(classes)}; "
-                "pick one with --delay-class")
+                "a results file holds one")
     if "status" in rows[0]:
         bad = [r for r in rows if r["status"] != "ok"]
         if bad:

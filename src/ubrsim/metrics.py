@@ -69,7 +69,8 @@ def fairness(throughputs, demands, mss: int, bottleneck_bps: float) -> float:
     Connections with zero fair share are excluded when they also moved no
     data; a connection with goodput but no allocated share means the demand
     accounting is broken, which is reported rather than masked.  A run in
-    which no connection has a share measured nothing, and is refused too.
+    which no connection has a share, or none received data, measured
+    nothing, and is refused too.
     """
     if len(throughputs) != len(demands):
         raise MetricError("throughputs and demands lengths differ")
@@ -85,4 +86,6 @@ def fairness(throughputs, demands, mss: int, bottleneck_bps: float) -> float:
         ratios.append(x / e)
     if not ratios:
         raise MetricError("no connection offered any load")
+    if not any(ratios):
+        raise MetricError("no connection received any data")
     return jain_index(ratios)

@@ -46,8 +46,6 @@ class RunResult:
     rexmit_segs: int
     events: int
     status: str = "ok"
-    # per-connection detail, not serialized into results rows
-    goodputs: list = field(default_factory=list, repr=False)
     drop_logs: dict | None = field(default=None, repr=False)
     traceback: str = field(default="", repr=False)  # of a crashed cell
 
@@ -141,7 +139,6 @@ class Topology:
             fast_recoveries=sum(e.fast_recoveries for e in ends),
             rexmit_segs=sum(e.rexmit_segs for e in ends),
             events=self.sim.events_processed,
-            goodputs=goodputs,
             drop_logs=drop_logs,
         )
 

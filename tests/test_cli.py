@@ -79,26 +79,45 @@ def test_run_rejects_bad_flags(tmp_path, capsys):
     assert "error: workers must be >= 1, got 0\n" == capsys.readouterr().err
 
 
-def test_run_prints_each_failed_cell_traceback(tmp_path, capsys, monkeypatch):
+def test_run_reports_each_distinct_failure_once(tmp_path, capsys, monkeypatch):
     real_run_cell = experiment.run_cell
 
-    def run_cell_failing_reno(spec, log_drops=False):
-        if spec.tcp_flavor == "reno":
-            raise RuntimeError("reno broke")
+    def run_cell_failing_two_flavors(spec, log_drops=False):
+        if spec.tcp_flavor in ("reno", "sack"):
+            raise RuntimeError(f"{spec.tcp_flavor} broke")
         return real_run_cell(spec, log_drops=log_drops)
 
-    monkeypatch.setattr(experiment, "run_cell", run_cell_failing_reno)
+    monkeypatch.setattr(experiment, "run_cell", run_cell_failing_two_flavors)
     rc, _ = run_grid_to(tmp_path, "res.csv")
     assert rc == 1
-    err = capsys.readouterr().err
-    blocks = err.split("cell ")[1:]
-    assert len(blocks) == 6                     # 2 policies x 3 buffers
-    for block in blocks:
+    blocks = capsys.readouterr().err.split("cells ")[1:]
+    assert len(blocks) == 2                     # one per distinct status
+    for block, flavor in zip(blocks, ("reno", "sack")):
         head, *trace = block.splitlines()
-        assert "/reno/" in head and head.endswith("error: RuntimeError: reno broke")
+        cells = ", ".join(f"{policy}/{flavor}/{buffer}" for policy in ("epd", "sd")
+                          for buffer in ("0.5", "1", "2"))
+        assert head == f"{cells} (6 of 24): error: RuntimeError: {flavor} broke"
+        # the first cell's traceback, once
         assert trace[0] == "Traceback (most recent call last):"
-        assert "in run_cell_failing_reno" in block
-        assert trace[-1] == "RuntimeError: reno broke"
+        assert trace.count(trace[0]) == 1
+        assert "in run_cell_failing_two_flavors" in block
+        assert trace[-1] == f"RuntimeError: {flavor} broke"
+
+
+def test_a_run_with_one_failure_in_every_cell_reports_it_once(capsys):
+    # 0.2 s is too short for any meo request to be answered
+    rc = main(["run", "--delay-class", "meo", "--connections", "1",
+               "--duration-s", "0.2", "--quiet", "--out", os.devnull])
+    assert rc == 1
+    head, *trace = capsys.readouterr().err.splitlines()
+    status = "MetricError: no connection offered any load"
+    assert head.startswith("cells epd/vanilla/0.5, ")
+    assert head.endswith(f", sd/sack/2 (24 of 24): error: {status}")
+    # the first cell's traceback, once, and nothing after it
+    assert trace[0] == "Traceback (most recent call last):"
+    assert trace.count(trace[0]) == 1
+    assert trace[-1].endswith(status)
+    assert not any(line.startswith("cells ") for line in trace)
 
 
 def test_analyze_results_round_trip(tmp_path, capsys):

@@ -88,6 +88,13 @@ def test_fairness_refuses_a_run_with_no_offered_load():
         fairness([0.0, 0.0], [0.0, 0.0], 1024, 45e6)
 
 
+def test_fairness_refuses_a_run_that_delivered_nothing():
+    # every connection has a share and a ratio of 0, and Jain's index of
+    # all-zero ratios (1.0) would read as perfect fairness
+    with pytest.raises(MetricError, match="^no connection received any data$"):
+        fairness([0.0, 0.0], [5e6, 20e6], 1024, 45e6)
+
+
 def test_fairness_detects_impossible_accounting():
     with pytest.raises(MetricError):
         fairness([1e6], [0.0], 1024, 45e6)

@@ -186,7 +186,6 @@ def test_run_cell_smoke():
     # exact conservation (in == out + dropped + queued) is enforced in run()
     assert res.cells_in >= res.cells_out + res.cells_dropped
     assert res.goodput_bps <= res.offered_bps
-    assert len(res.goodputs) == res.connections == 2
     assert res.events > 0
     assert res.drop_logs is None
 
@@ -198,12 +197,18 @@ def test_a_cell_with_no_offered_load_is_an_error_row():
     assert res.status == "error: MetricError: no connection offered any load"
 
 
+def test_a_cell_that_delivered_nothing_is_an_error_row():
+    # requests are answered, but in 0.6 s no geo response reaches a client
+    sc = build_scenario("geo", seed=1, scale=0.1, connections=2, duration_s=0.6)
+    res = run_cell_safe(RunSpec(sc, "epd", "vanilla", "0.5"))
+    assert res.status == "error: MetricError: no connection received any data"
+
+
 def test_run_cell_is_deterministic():
     spec = RunSpec(tiny_scenario(seed=7), "sd", "sack", "0.5")
     a = run_cell(spec)
     b = run_cell(spec)
     assert format_row(a) == format_row(b)
-    assert a.goodputs == b.goodputs
 
 
 def test_seed_changes_the_outcome():
@@ -357,13 +362,16 @@ def test_broken_run_end_invariant_names_itself_in_the_row(monkeypatch, corrupt,
 def test_random_small_topologies_pass_every_run_end_invariant(
         delay_class, seed, connections, duration_s, policy, flavor, frames):
     """Buffers down to one MSS frame; a broken port or TCP invariant turns
-    the row's status into an error that names it."""
+    the row's status into an error that names it.  The run-end invariants
+    are checked before the metrics, so the one refusal allowed here, a
+    short geo cell that delivered nothing, still passed every invariant."""
     frame = cells_for_segment(DELAY_CLASSES[delay_class].mss)
     sc = build_scenario(delay_class, seed=seed, scale=0.1,
                         connections=connections, duration_s=duration_s,
                         buffers=(frames * frame,) * 3)
     res = run_cell_safe(RunSpec(sc, policy, flavor, "1"))
-    assert res.status == "ok", res.traceback
+    assert res.status in (
+        "ok", "error: MetricError: no connection received any data"), res.traceback
 
 
 def test_run_grid_frees_every_topology_without_the_cycle_collector():
