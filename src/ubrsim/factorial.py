@@ -2,10 +2,11 @@
 
 The experiment grid crosses TCP flavor (4) x buffer size (3) x drop policy
 (2) into 24 cells.  The analysis decomposes each response into a grand mean
-and the effects of its terms, main effects and two-factor interactions, all
-estimated by one rule; the three-factor interaction is treated as the error
-term (6 degrees of freedom), which also prices the confidence intervals.
-Replicated cells (several seeds) are averaged before the decomposition.
+and the effects of its terms: main effects, two-factor interactions and the
+three-factor interaction, all estimated by one rule.  The three-factor
+interaction is the error term, reported as `residual` (6 degrees of
+freedom); it also prices the confidence intervals.  Replicated cells
+(several seeds) are averaged before the decomposition.
 """
 
 from __future__ import annotations
@@ -48,13 +49,17 @@ FACTORS = {
     "buffer_rtt": BUFFER_LEVELS,
     "drop_policy": POLICIES,
 }
-# a term is a tuple of factor names: every main effect, then every pair;
-# the three-factor interaction is left to the residual
-TERMS = tuple(term for k in (1, 2) for term in combinations(FACTORS, k))
+# a term is a tuple of factor names: every main effect, every pair, then
+# the three-factor interaction, which with one replicate is the error term
+TERMS = tuple(term for k in range(1, len(FACTORS) + 1)
+              for term in combinations(FACTORS, k))
 
 
 def term_key(term: tuple):
-    """A term's key in `ss` and `dof`: a factor's name, or a pair's tuple."""
+    """A term's key in `ss` and `dof`: a factor's name, a pair's tuple, or
+    "residual" for the three-factor interaction."""
+    if len(term) == len(FACTORS):
+        return "residual"
     return term[0] if len(term) == 1 else term
 
 
@@ -151,19 +156,7 @@ def analyze(rows, response: str) -> FactorialReport:
                for name in names}
     interactions = {term: table[term] for term in TERMS if len(term) == 2}
 
-    # the main effects' sum plus the pairs': this order fixes every digit
-    explained = sum(sum(ss[term_key(t)] for t in TERMS if len(t) == k)
-                    for k in (1, 2))
-    residual = ss["total"] - explained
-    if residual < 0:
-        if residual < -1e-9 * max(1.0, ss["total"]):
-            raise AnalysisError(f"negative residual sum of squares: {residual}")
-        residual = 0.0
-    ss["residual"] = residual
-    # the three-factor interaction's (4 - 1) * (3 - 1) * (2 - 1) = 6, never 0
-    dof["residual"] = dof["total"] - sum(dof[term_key(t)] for t in TERMS)
-
-    s_e = math.sqrt(residual / dof["residual"])
+    s_e = math.sqrt(ss["residual"] / dof["residual"])
     t_crit = t_quantile_95(dof["residual"])
     std_err = {"mean": s_e * math.sqrt(1.0 / n)}
     for name, levels in FACTORS.items():
@@ -184,8 +177,8 @@ def variation_rows(report: FactorialReport) -> list:
     rows = []
     for term in TERMS:
         key = term_key(term)
-        rows.append((" x ".join(term), report.ss[key], report.pct(key)))
-    rows.append(("residual", report.ss["residual"], report.pct("residual")))
+        name = key if isinstance(key, str) else " x ".join(key)
+        rows.append((name, report.ss[key], report.pct(key)))
     rows.append(("total", report.ss["total"], 100.0 if report.ss["total"] else 0.0))
     return rows
 
@@ -233,7 +226,7 @@ def write_report_csvs(report: FactorialReport, prefix: str) -> list:
     for name, header, rows in tables:
         path = f"{prefix}.{name}.csv"
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
             w.writerows(rows)
         paths.append(path)

@@ -191,13 +191,13 @@ ORACLE_DIGEST = "fe76f123e2f997b605d57903f47a068373629e9fc0baa83486dc422bf7da7ca
 ANALYZE_DIGESTS = {
     "efficiency": (
         "c11d0329f957facfdb0b9678cb2c4591c423b59f151c38355bd9a08af4c083f3",
-        "b777804185e12973cbb6565dc564c524bdd9ba1b62e38aaff87e58b1524dbf50",
-        "a4c9c2d39ef7ee3bfbcf8ae1686a07b5e60523a3bdcceb386dc3e09063a5a310",
+        "1eaaaa77fc815cb686cc1dd87f951ccbdc220e0c97a9ac1b1831a1a0a3dce038",
+        "c309bfe33ba92b8ae4dc615ea9f50c2cbf0ddc8560c795080bf13b7f7cdd1830",
     ),
     "fairness": (
         "5f379f050d70d9ad515ad357b16c8675c32c4544ee0b0e7b4c50751bc4cdc47a",
-        "c4d9128fd49307dddfde760ca35cfdcfffc8a44f65d71184c05a0f25e9247ad8",
-        "909c7f044246b5f46f2d7aa2703c307ee8e1f16ab8d757efe77a55b0794d36ae",
+        "13755edcd1f8a5e1a21ea3e185fdd45232058a479cfc176feee1178dc50e34e2",
+        "1d38ff7cb9c348fd9b45f05d2e0276420e7613701e96b268727710f54b11b609",
     ),
 }
 

@@ -54,10 +54,13 @@ def test_sum_of_squares_decomposition_is_exhaustive():
     assert parts == pytest.approx(rep.ss["total"], abs=1e-9)
 
 
+ADDITIVE = ({"epd": 0.1, "sd": -0.1},
+            {"vanilla": -0.3, "reno": -0.1, "newreno": 0.2, "sack": 0.2},
+            {"0.5": -0.2, "1": 0.0, "2": 0.2})
+
+
 def test_purely_additive_data_has_zero_interactions_and_residual():
-    a = {"epd": 0.1, "sd": -0.1}
-    b = {"vanilla": -0.3, "reno": -0.1, "newreno": 0.2, "sack": 0.2}
-    c = {"0.5": -0.2, "1": 0.0, "2": 0.2}
+    a, b, c = ADDITIVE
     vals = full_grid(lambda p, f, bu: 1.0 + a[p] + b[f] + c[bu])
     rep = analyze(rows_from(vals), "y")
     assert rep.grand_mean == pytest.approx(1.0)
@@ -68,7 +71,21 @@ def test_purely_additive_data_has_zero_interactions_and_residual():
         for v in per.values():
             assert v == pytest.approx(0, abs=1e-12)
     assert rep.ss["residual"] == pytest.approx(0, abs=1e-12)
-    assert rep.s_e == 0.0
+    assert rep.s_e == pytest.approx(0, abs=1e-12)
+
+
+def test_a_small_three_factor_interaction_is_measured_not_clamped():
+    # delta times a product of contrasts that each sum to zero: all of it
+    # is three-factor interaction, with sum of squares 8 delta^2 over 6 dof
+    a, b, c = ADDITIVE
+    sp = {"epd": 1, "sd": -1}
+    sf = {"vanilla": 1, "reno": -1, "newreno": 0, "sack": 0}
+    sb = {"0.5": 1, "1": -1, "2": 0}
+    delta = 1e-8
+    vals = full_grid(lambda p, f, bu: 1.0 + a[p] + b[f] + c[bu]
+                     + delta * sp[p] * sf[f] * sb[bu])
+    rep = analyze(rows_from(vals), "y")
+    assert rep.s_e == pytest.approx(delta * math.sqrt(8 / 6), rel=1e-6)
 
 
 def test_replicates_are_averaged_per_cell():
@@ -99,10 +116,9 @@ def test_identical_replicates_give_the_one_replicate_analysis(values, r):
         assert rep.effects[name] == pytest.approx(per, abs=1e-12)
     for term, per in one.interactions.items():
         assert rep.interactions[term] == pytest.approx(per, abs=1e-12)
-    assert rep.ss == pytest.approx(one.ss, abs=1e-9)
+    assert rep.ss == pytest.approx(one.ss, abs=1e-12)
     assert rep.dof == one.dof
-    # s_e is the root of a difference of sums near 24, so it moves more
-    assert rep.s_e == pytest.approx(one.s_e, abs=1e-6)
+    assert rep.s_e == pytest.approx(one.s_e, abs=1e-12)
 
 
 def test_reference_wan_efficiency_statistics():
@@ -164,6 +180,9 @@ def test_report_rendering_and_csv_round_trip(tmp_path):
     assert "tcp_flavor x buffer_rtt" in text
     assert "residual" in text
     paths = write_report_csvs(rep, str(tmp_path / "rep"))
+    for path in paths:
+        with open(path, "rb") as fh:
+            assert b"\r" not in fh.read()
     with open(paths[0]) as fh:
         var = list(csv.DictReader(fh))
     assert [r["component"] for r in var][:3] == \
