@@ -5,7 +5,8 @@ The experiment grid crosses TCP flavor (4) x buffer size (3) x drop policy
 and the effects of its terms: main effects, two-factor interactions and the
 three-factor interaction, all estimated by one rule.  The three-factor
 interaction is the error term, reported as `residual` (6 degrees of
-freedom); it also prices the confidence intervals.  Replicated cells
+freedom); it also prices the confidence intervals, unless it is zero to
+rounding, as when the grid's drop policies act alike.  Replicated cells
 (several seeds) are averaged before the decomposition.
 """
 
@@ -33,15 +34,24 @@ T_TABLE_95 = {
     21: 1.721, 22: 1.717, 23: 1.714, 24: 1.711, 25: 1.708,
     26: 1.706, 27: 1.703, 28: 1.701, 29: 1.699, 30: 1.697,
 }
-Z_95 = 1.6449  # normal fallback beyond the table
 
 
 def t_quantile_95(dof: int) -> float:
-    """Upper 0.95 quantile of t(dof); normal approximation past 30."""
-    if dof < 1:
-        raise AnalysisError(f"degrees of freedom must be >= 1, got {dof}")
-    return T_TABLE_95.get(dof, Z_95)
+    """Upper 0.95 quantile of t(dof), from the table: dof 1 to 30 only.
 
+    `analyze` asks for 6.  No fallback: the normal quantile past 30 (1.645)
+    is not t's, e.g. t(46) is 1.679.
+    """
+    if dof not in T_TABLE_95:
+        raise AnalysisError(f"no t quantile for {dof} degrees of freedom; "
+                            "the table covers 1 to 30")
+    return T_TABLE_95[dof]
+
+
+# an error sum of squares at most this fraction of the responses' sum of
+# squares is rounding noise and prices no interval: additive or all-equal
+# data give 1e-30.  Not of the total, which on all-equal data is noise too
+ZERO_ERROR = 1e-20
 
 # factor column -> its levels; the order fixes every sum of the analysis
 FACTORS = {
@@ -75,7 +85,6 @@ class FactorialReport:
     sum_sq_individual: float   # sum of squared cell responses
     s_e: float                 # residual standard deviation
     t_crit: float
-    std_err: dict              # "mean" and factor names -> effect standard error
 
     def pct(self, component: str) -> float:
         total = self.ss["total"]
@@ -84,12 +93,21 @@ class FactorialReport:
         return 100.0 * self.ss[component] / total
 
     def mean_ci(self) -> tuple:
-        hw = self.std_err["mean"] * self.t_crit
-        return self.grand_mean - hw, self.grand_mean + hw
+        return self._ci(self.grand_mean, 1)
 
     def effect_ci(self, factor: str, level: str) -> tuple:
-        e = self.effects[factor][level]
-        hw = self.std_err[factor] * self.t_crit
+        return self._ci(self.effects[factor][level], len(FACTORS[factor]) - 1)
+
+    @property
+    def bounded(self) -> bool:
+        """Whether the error term is more than rounding noise."""
+        return self.ss["residual"] > ZERO_ERROR * self.sum_sq_individual
+
+    def _ci(self, e: float, k: int) -> tuple:
+        # 90 percent bounds of an effect with k degrees of freedom
+        if not self.bounded:
+            return None, None
+        hw = self.s_e * math.sqrt(k / self.n) * self.t_crit
         return e - hw, e + hw
 
 
@@ -158,18 +176,18 @@ def analyze(rows, response: str) -> FactorialReport:
 
     s_e = math.sqrt(ss["residual"] / dof["residual"])
     t_crit = t_quantile_95(dof["residual"])
-    std_err = {"mean": s_e * math.sqrt(1.0 / n)}
-    for name, levels in FACTORS.items():
-        std_err[name] = s_e * math.sqrt((len(levels) - 1) / n)
-
     return FactorialReport(response, n, grand, effects, interactions, ss, dof,
-                           sum_sq, s_e, t_crit, std_err)
+                           sum_sq, s_e, t_crit)
 
 
 # ---------------------------------------------------------------- rendering
 
-def _fmt(v: float) -> str:
-    return f"{v:.4f}"
+NO_BOUNDS = "  no bounds: the residual sum of squares is zero to rounding"
+
+
+def _fmt(v, places: int = 4) -> str:
+    """v to `places` decimals, "" for None; a zero is never signed."""
+    return "" if v is None else f"{round(v, places) + 0.0:.{places}f}"
 
 
 def variation_rows(report: FactorialReport) -> list:
@@ -202,12 +220,16 @@ def render_text(report: FactorialReport) -> str:
     out.append("allocation of variation")
     out.append(f"  {'component':<28}{'sum sq':>12}{'pct':>9}")
     for name, ssv, pct in variation_rows(report):
-        out.append(f"  {name:<28}{ssv:>12.4f}{pct:>9.2f}")
+        out.append(f"  {name:<28}{_fmt(ssv):>12}{_fmt(pct, 2):>9}")
     out.append("")
     out.append("effects with 90 percent confidence bounds")
-    out.append(f"  {'term':<28}{'effect':>10}{'low':>10}{'high':>10}")
+    if report.bounded:
+        out.append(f"  {'term':<28}{'effect':>10}{'low':>10}{'high':>10}")
+    else:
+        out.append(NO_BOUNDS)
+        out.append(f"  {'term':<28}{'effect':>10}")
     for term, e, lo, hi in effect_rows(report):
-        out.append(f"  {term:<28}{e:>10.4f}{lo:>10.4f}{hi:>10.4f}")
+        out.append(f"  {term:<28}{_fmt(e):>10}{_fmt(lo):>10}{_fmt(hi):>10}".rstrip())
     out.append("")
     return "\n".join(out)
 
@@ -216,10 +238,10 @@ def write_report_csvs(report: FactorialReport, prefix: str) -> list:
     """Write <prefix>.variation.csv and <prefix>.effects.csv; return paths."""
     tables = (
         ("variation", ("component", "sum_sq", "pct_of_total"),
-         [(name, f"{ssv:.6f}", f"{pct:.2f}")
+         [(name, _fmt(ssv, 6), _fmt(pct, 2))
           for name, ssv, pct in variation_rows(report)]),
         ("effects", ("term", "effect", "ci_low", "ci_high"),
-         [(term, f"{e:.6f}", f"{lo:.6f}", f"{hi:.6f}")
+         [(term, _fmt(e, 6), _fmt(lo, 6), _fmt(hi, 6))
           for term, e, lo, hi in effect_rows(report)]),
     )
     paths = []

@@ -5,19 +5,20 @@ exact and runs are bit-reproducible across platforms.
 
 Ordering contract: every event has a key (fire_at, sequence), where sequence
 is the schedule order, and events fire in strictly increasing key order.  A
-train from `schedule_train(at, step, n, fn, arg)` takes n consecutive
-sequence numbers at once; member i has key (at + i*step, base + i).  The
-train occupies one heap entry, keyed by its next member.  When that entry
-fires, the members i..j-1 that are due, i.e. whose keys are below every other
-pending key and whose times are not past the run's end, fire as one run: one
-call fn(arg, i, j, step) with `now` at member j-1's time.  The kernel never
-looks inside `arg`; what a member is, is fn's business.  Each member counts
-as one event, so the firing order and `events_processed` are exactly those
-of n separate `schedule` calls, provided that only the last member of a run
-schedules anything.  Since `now` is the run's last time, `schedule` refuses
-any event an earlier member would put inside the run.
+train from `schedule_train(at, step, n, fn, arg)` has a positive step and at
+least one member.  It takes n consecutive sequence numbers at once; member i
+has key (at + i*step, base + i).  The train occupies one heap entry, keyed
+by its next member.  When that entry fires, the members i..j-1 that are due,
+i.e. whose keys are below every other pending key and whose times are not
+past the run's end, fire as one run: one call fn(arg, i, j, step) with `now`
+at member j-1's time.  The kernel never looks inside `arg`; what a member is,
+is fn's business.  Each member counts as one event, so the firing order and
+`events_processed` are exactly those of n separate `schedule` calls, provided
+that only the last member of a run schedules anything.  Since `now` is the
+run's last time, `schedule` refuses any event an earlier member would put
+inside the run.
 
-A `Timer` from `timer(fn)` is a deadline that is reset far more often than it
+A `Timer(sim, fn)` is a deadline that is reset far more often than it
 expires.  Each `set(at)` takes a sequence number as `schedule` does, and fn()
 runs at the key of the last `set` before it expires, so handlers fire in the
 order of one `schedule` per `set` with every superseded one ignored.  The
@@ -43,7 +44,7 @@ def seconds(t: float | int) -> int:
 
 
 class SchedulingError(Exception):
-    """Raised when an event is scheduled before the current virtual time."""
+    """Raised for an event before the current virtual time or a malformed train."""
 
 
 def derive_seed(master_seed: int, *labels) -> int:
@@ -70,15 +71,11 @@ class RngStream:
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], derived from one random() draw."""
-        if lo > hi:
-            raise ValueError(f"randint needs lo <= hi, got {lo}, {hi}")
         v = lo + int(self._rng.random() * (hi - lo + 1))
         return v if v <= hi else hi
 
     def uniform(self, lo: float, hi: float) -> float:
-        """Uniform float in [lo, hi)."""
-        if not lo < hi:
-            raise ValueError(f"uniform needs lo < hi, got [{lo}, {hi})")
+        """Uniform float in [lo, hi), for lo < hi."""
         v = lo + (hi - lo) * self._rng.random()
         if v >= hi:  # guard the closed end against float rounding
             v = math.nextafter(hi, lo)
@@ -120,33 +117,29 @@ class Simulator:
         """
         if at < self.now:
             raise SchedulingError(f"schedule at t={at} ns before now={self.now} ns")
-        if step < 0:
-            raise SchedulingError(f"train step {step} ns is negative")
-        if n > 0:
-            heappush(self._heap, (at, self._seq, self._fire_train,
-                                  (fn, arg, 0, n, step, self._seq)))
-            self._seq += n
+        if step <= 0 or n < 1:
+            raise SchedulingError(f"a train needs a positive step and a member, "
+                                  f"got step {step} ns and {n} members")
+        heappush(self._heap, (at, self._seq, self._fire_train,
+                              (fn, arg, 0, n, step, self._seq)))
+        self._seq += n
 
     def _fire_train(self, train) -> None:
         # member i is due (now is its time); members i..j-1 are due while
         # their key is below the heap top's and their time is not past end.
-        # No other key falls between two members' sequence numbers, so with
-        # a zero step every member is due.
         fn, arg, i, n, step, seq = train
         heap = self._heap
         t = self.now
-        j = n
-        if step:
-            j = i + 1 + (self._end - t) // step
-            if heap:
-                # member i+d is the last one not after the top's time; it is
-                # due if it is before it or ties it with a lower sequence
-                d, r = divmod(heap[0][0] - t, step)
-                below = i + d + (r > 0 or seq + d < heap[0][1])
-                if below < j:
-                    j = below
-            if j > n:
-                j = n
+        j = i + 1 + (self._end - t) // step
+        if heap:
+            # member i+d is the last one not after the top's time; it is
+            # due if it is before it or ties it with a lower sequence
+            d, r = divmod(heap[0][0] - t, step)
+            below = i + d + (r > 0 or seq + d < heap[0][1])
+            if below < j:
+                j = below
+        if j > n:
+            j = n
         last = t + (j - 1 - i) * step
         self.now = last
         fn(arg, i, j, step)
@@ -155,10 +148,6 @@ class Simulator:
             seq += j - i
             heappush(heap, (last + step, seq, self._fire_train,
                             (fn, arg, j, n, step, seq)))
-
-    def timer(self, fn) -> Timer:
-        """A restartable timer that calls fn() at its deadline."""
-        return Timer(self, fn)
 
     def clear(self) -> None:
         """Drop every pending event."""

@@ -70,13 +70,11 @@ class PolicyPort:
 
     def __init__(self, sim: Simulator, name: str, rate_bps: float, capacity: int,
                  policy: str, num_vcs: int, log_drops: bool = False):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         if policy not in (EPD, SD):
             raise ValueError(f"unknown policy {policy!r}")
         self.sim = sim
         self.name = name
-        self.capacity = capacity
+        self.capacity = capacity  # K >= 1, by build_scenario's buffers rule
         self.policy = policy
         self.threshold = math.floor(R * capacity + 1e-9)  # R*K in whole cells
         self.tx_ns = cell_time_ns(rate_bps)

@@ -24,7 +24,7 @@ snd_una to snd_nxt; the ACK that covers a record drops it.
 from __future__ import annotations
 
 from .aal5 import Segment
-from .kernel import NS_PER_MS, NS_PER_SEC, Simulator
+from .kernel import NS_PER_MS, NS_PER_SEC, Simulator, Timer
 
 VANILLA = "vanilla"
 RENO = "reno"
@@ -55,10 +55,6 @@ class SegRecord:
         self.end = end
         self.sacked = False
         self.rtx = False    # retransmitted in the current recovery episode
-
-    def __repr__(self):
-        flags = "".join(f for f, on in (("S", self.sacked), ("R", self.rtx)) if on)
-        return f"<{self.start}:{self.end}{' ' + flags if flags else ''}>"
 
 
 class TcpEndpoint:
@@ -91,7 +87,7 @@ class TcpEndpoint:
         self.rttvar = 0.0
         self.rto_ns = INIT_RTO_NS
         self.backoff = 0
-        self.timer = sim.timer(self._on_timer)
+        self.timer = Timer(sim, self._on_timer)
         self._timed_end = None        # seq end of the segment being timed
         self._timed_at = 0
         # --- receiver ---
@@ -108,9 +104,7 @@ class TcpEndpoint:
     # ------------------------------------------------------------- sending
 
     def write(self, nbytes: int) -> None:
-        """Application hands nbytes to the send buffer."""
-        if nbytes <= 0:
-            return
+        """Application hands nbytes (> 0) to the send buffer."""
         self.app_bytes += nbytes
         self._try_send()
 
@@ -252,11 +246,10 @@ class TcpEndpoint:
     # ------------------------------------------------------------ SACK path
 
     def _apply_sacks(self, sacks) -> None:
+        # the records tile snd_una..snd_nxt, so a block outside marks none
         recs = self._recs
         n = len(recs)
         for lo, hi in sacks:
-            if hi <= self.snd_una or lo >= self.snd_nxt:
-                continue
             i = 0
             while i < n and recs[i].end <= lo:
                 i += 1

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ubrsim.factorial import (T_TABLE_95, AnalysisError, analyze, effect_rows,
-                              read_matrix, render_text, t_quantile_95,
-                              variation_rows, write_report_csvs)
+from ubrsim.factorial import (NO_BOUNDS, T_TABLE_95, AnalysisError, analyze,
+                              effect_rows, read_matrix, render_text,
+                              t_quantile_95, variation_rows, write_report_csvs)
 
 
 def reference_path(delay_class):
@@ -86,6 +86,28 @@ def test_a_small_three_factor_interaction_is_measured_not_clamped():
                      + delta * sp[p] * sf[f] * sb[bu])
     rep = analyze(rows_from(vals), "y")
     assert rep.s_e == pytest.approx(delta * math.sqrt(8 / 6), rel=1e-6)
+    assert rep.bounded
+
+
+@pytest.mark.parametrize("fn", [
+    lambda p, f, bu: 1.0 + ADDITIVE[0][p] + ADDITIVE[1][f] + ADDITIVE[2][bu],
+    # every effect reads -4e-17 or so, which "{:.4f}" printed as -0.0000
+    lambda p, f, bu: 0.1,
+], ids=["additive", "all-equal"])
+def test_an_error_that_is_zero_to_rounding_prices_no_bounds(fn, tmp_path):
+    rep = analyze(rows_from(full_grid(fn)), "y")
+    assert not rep.bounded
+    assert rep.effect_ci("tcp_flavor", "sack") == (None, None)
+    text = render_text(rep)
+    assert NO_BOUNDS in text.splitlines()
+    assert "-0.0" not in text
+    for path in write_report_csvs(rep, str(tmp_path / "rep")):
+        with open(path) as fh:
+            assert "-0.0" not in fh.read()
+    with open(tmp_path / "rep.effects.csv") as fh:
+        eff = list(csv.DictReader(fh))
+    assert len(eff) == 10
+    assert all(r["ci_low"] == r["ci_high"] == "" for r in eff)
 
 
 def test_replicates_are_averaged_per_cell():
@@ -138,15 +160,18 @@ def test_reference_wan_efficiency_statistics():
     assert hi == pytest.approx(-0.1520, abs=5e-4)
     assert rep.dof["residual"] == 6
     assert rep.t_crit == pytest.approx(1.943)
+    assert rep.bounded and NO_BOUNDS not in render_text(rep)
 
 
 def test_t_table_against_scipy():
     scipy_stats = pytest.importorskip("scipy.stats")
     for dof, val in T_TABLE_95.items():
+        assert t_quantile_95(dof) == val
         assert val == pytest.approx(scipy_stats.t.ppf(0.95, dof), abs=1e-3)
-    assert t_quantile_95(40) == pytest.approx(1.6449)   # normal fallback
-    with pytest.raises(AnalysisError):
-        t_quantile_95(0)
+    # no normal fallback past the table: t(31) is 1.696, not 1.645
+    for dof in (0, 31, 40):
+        with pytest.raises(AnalysisError, match="1 to 30"):
+            t_quantile_95(dof)
 
 
 def test_incomplete_matrix_is_rejected():

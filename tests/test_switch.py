@@ -380,6 +380,4 @@ def test_egress_link_drops_frame_missing_a_cell():
 def test_port_rejects_bad_parameters():
     sim = Simulator()
     with pytest.raises(ValueError):
-        PolicyPort(sim, "x", 45e6, 0, EPD, 1)
-    with pytest.raises(ValueError):
         PolicyPort(sim, "x", 45e6, 10, "red", 1)

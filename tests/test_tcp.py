@@ -225,6 +225,21 @@ def test_sack_blocks_on_dupacks_name_received_ranges():
     assert dup.sacks[0] == (MSS, 2 * MSS)
 
 
+def test_sack_blocks_outside_the_flight_mark_no_record():
+    sim = Simulator()
+    a = TcpEndpoint(sim, SACK, MSS, 1_000_000, 1_000_000, lambda seg: None)
+    a.cwnd = 8 * MSS
+    a.write(8 * MSS)
+    a.on_frame(Segment(0, 0, 2 * MSS))
+    assert (a.snd_una, a.snd_nxt, len(a._recs)) == (2 * MSS, 8 * MSS, 6)
+    # wholly below snd_una, ending at it, and starting at snd_nxt
+    a.on_frame(Segment(0, 0, 2 * MSS,
+                       ((0, MSS), (MSS, 2 * MSS), (8 * MSS, 10 * MSS))))
+    assert not any(r.sacked for r in a._recs)
+    a.on_frame(Segment(0, 0, 2 * MSS, ((3 * MSS, 4 * MSS),)))
+    assert [r.start for r in a._recs if r.sacked] == [3 * MSS]
+
+
 def test_timeout_backoff_doubles_and_caps():
     sim, a, b, wire = make_pair(VANILLA)
     wire.drop_data = lambda seg, k: True        # black hole
