@@ -91,16 +91,13 @@ def format_row(result: RunResult) -> list:
     return row
 
 
-def write_results(results, out) -> None:
-    """Write result rows as CSV to a path or an open text file."""
-    if isinstance(out, str):
-        if out == "-":
-            _write(results, sys.stdout)
-        else:
-            with open(out, "w", newline="") as fh:
-                _write(results, fh)
+def write_results(results, out: str) -> None:
+    """Write result rows as CSV to the path `out`, or to stdout for "-"."""
+    if out == "-":
+        _write(results, sys.stdout)
     else:
-        _write(results, out)
+        with open(out, "w", newline="") as fh:
+            _write(results, fh)
 
 
 def _write(results, fh) -> None:

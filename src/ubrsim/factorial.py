@@ -6,7 +6,8 @@ and the effects of its terms: main effects, two-factor interactions and the
 three-factor interaction, all estimated by one rule.  The three-factor
 interaction is the error term, reported as `residual` (6 degrees of
 freedom); it also prices the confidence intervals, unless it is zero to
-rounding, as when the grid's drop policies act alike.  Replicated cells
+rounding, as when the grid's drop policies act alike.  The terms partition
+the variation, so the total is the sum of theirs.  Replicated cells
 (several seeds) are averaged before the decomposition.
 """
 
@@ -48,9 +49,10 @@ def t_quantile_95(dof: int) -> float:
     return T_TABLE_95[dof]
 
 
-# an error sum of squares at most this fraction of the responses' sum of
-# squares is rounding noise and prices no interval: additive or all-equal
-# data give 1e-30.  Not of the total, which on all-equal data is noise too
+# a sum of squares at most this fraction of the responses' is rounding
+# noise: such an error term prices no interval (additive or all-equal data
+# give 1e-30) and such a total gives no shares.  Not a fraction of the
+# total, which on all-equal data is noise too
 ZERO_ERROR = 1e-20
 
 # factor column -> its levels; the order fixes every sum of the analysis
@@ -88,7 +90,7 @@ class FactorialReport:
 
     def pct(self, component: str) -> float:
         total = self.ss["total"]
-        if total == 0.0:
+        if total <= ZERO_ERROR * self.sum_sq_individual:  # zero to rounding
             return 0.0
         return 100.0 * self.ss[component] / total
 
@@ -147,8 +149,7 @@ def analyze(rows, response: str) -> FactorialReport:
     n = len(full)
     grand = sum(y.values()) / n
 
-    sum_sq = sum(v * v for v in y.values())
-    ss = {"total": sum_sq - n * grand * grand}
+    ss = {}
     dof = {"total": n - 1}
     table: dict = {}      # term -> {levels: effect}
     effect_at: dict = {}  # ((name, level), ...) -> that term's effect there
@@ -170,6 +171,7 @@ def analyze(rows, response: str) -> FactorialReport:
         sizes = [len(FACTORS[name]) for name in term]
         ss[key] = n // math.prod(sizes) * sum(e * e for e in per.values())
         dof[key] = math.prod(size - 1 for size in sizes)
+    ss["total"] = sum(ss.values())  # the terms partition the variation
     effects = {name: {lev: e for (lev,), e in table[(name,)].items()}
                for name in names}
     interactions = {term: table[term] for term in TERMS if len(term) == 2}
@@ -177,7 +179,7 @@ def analyze(rows, response: str) -> FactorialReport:
     s_e = math.sqrt(ss["residual"] / dof["residual"])
     t_crit = t_quantile_95(dof["residual"])
     return FactorialReport(response, n, grand, effects, interactions, ss, dof,
-                           sum_sq, s_e, t_crit)
+                           sum(v * v for v in y.values()), s_e, t_crit)
 
 
 # ---------------------------------------------------------------- rendering
@@ -193,11 +195,9 @@ def _fmt(v, places: int = 4) -> str:
 def variation_rows(report: FactorialReport) -> list:
     """Component, sum of squares, share of total variation (percent)."""
     rows = []
-    for term in TERMS:
-        key = term_key(term)
+    for key in [*map(term_key, TERMS), "total"]:
         name = key if isinstance(key, str) else " x ".join(key)
         rows.append((name, report.ss[key], report.pct(key)))
-    rows.append(("total", report.ss["total"], 100.0 if report.ss["total"] else 0.0))
     return rows
 
 

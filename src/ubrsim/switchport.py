@@ -11,7 +11,8 @@ The ports and the lossless access links are all exact closed-form FIFO rate
 servers: a cell departs at max(arrival, previous departure) + 424/rate, with
 no per-cell transmission event.  A port retires the cells that have left
 before it judges an arrival; a departure at t retires before an arrival at
-t.  The closed forms for a run hold while the access links are at least as
+t.  A port's occupancy is the cell times left before its last cell departs.
+The closed forms for a run hold while the access links are at least as
 fast as the bottleneck, which the scenario's rates guarantee and a test pins.
 """
 
@@ -59,13 +60,14 @@ class PolicyPort:
     Cells arrive in runs of consecutive cells of one frame, `step` ns apart,
     and step never exceeds the port's cell time.  The cells a run admits
     therefore depart back to back, so the buffer is a deque of blocks
-    [first_departure_ns, count, vc] holding `occupancy` cells, and a run's
-    admitted cells go to its VC's egress link in one call.  `_complete(now)`
-    retires departed cells from the counters; every decision calls it first.
-    So a non-empty buffer is one busy period: its cells leave back to back,
-    the last at `_free_at`, which gives in closed form the first cell of a
-    run to find the buffer full.  A run carries its frame's boundaries: its
-    first cell is i == 0, its eom run ends at j == n.
+    [first_departure_ns, count, vc], and a run's admitted cells go to its
+    VC's egress link in one call.  A non-empty buffer is one busy period,
+    its cells leaving back to back, the last at `_free_at`: `occupancy` at t
+    is ceil((_free_at - t)/tx), which the blocks must hold, and the same
+    closed form finds a run's first cell to meet a full buffer.
+    `_complete(now)` retires departed cells; every decision calls it first.
+    A run carries its frame's boundaries: its first cell is i == 0, its eom
+    run ends at j == n.
     """
 
     def __init__(self, sim: Simulator, name: str, rate_bps: float, capacity: int,
@@ -79,7 +81,6 @@ class PolicyPort:
         self.threshold = math.floor(R * capacity + 1e-9)  # R*K in whole cells
         self.tx_ns = cell_time_ns(rate_bps)
         self.queue: deque = deque()
-        self.occupancy = 0  # cells in the buffer's blocks
         self._free_at = 0  # departure time of the last admitted cell
         self.x_per_vc = [0] * num_vcs
         self.n_active = 0
@@ -105,7 +106,10 @@ class PolicyPort:
         if self._dropping[vc] is frame:
             self.cells_dropped += m
             return
-        x = self.occupancy
+        tx = self.tx_ns
+        free = self._free_at
+        g = free - t if free > t else 0
+        x = -(-g // tx)  # cells buffered at t
         # first cell of a frame: the only place the policy may refuse it
         if i == 0 and x > self.threshold and (
                 self.policy == EPD
@@ -116,9 +120,6 @@ class PolicyPort:
         # ceil((g + k*(tx - step)) / tx) cells buffered, which is K or more
         # once k*(tx - step) > room; the run admits its cells before the
         # first such cell a, or all m when its last cell finds room
-        tx = self.tx_ns
-        free = self._free_at
-        g = free - t if free > t else 0
         room = (self.capacity - 1) * tx - g
         if room < 0:
             a = 0
@@ -130,7 +131,6 @@ class PolicyPort:
             dep = t + g + tx
             last = self._free_at = dep + (a - 1) * tx
             q.append([dep, a, vc])
-            self.occupancy = x + a
             xi = self.x_per_vc[vc]
             if xi == 0:
                 self.n_active += 1
@@ -141,8 +141,8 @@ class PolicyPort:
             t += a * step
             self._complete(t)
             self.tail_drops[vc] += 1
-            self._drop_frame(frame, DROP_TAIL_OVERFLOW, t, self.occupancy,
-                             m - a)
+            self._drop_frame(frame, DROP_TAIL_OVERFLOW, t,
+                             -(-(self._free_at - t) // tx), m - a)
 
     def _drop_frame(self, frame: Frame, verdict: str, t: int, x: int,
                     n: int) -> None:
@@ -176,8 +176,12 @@ class PolicyPort:
             if xi == 0:
                 self.n_active -= 1
             out += k
-        self.occupancy -= out
         self.cells_out += out
+
+    @property
+    def occupancy(self) -> int:
+        """Cells buffered now: the busy period's cell times left."""
+        return max(0, -(-(self._free_at - self.sim.now) // self.tx_ns))
 
     def conservation_ok(self) -> bool:
         return self.cells_in == self.cells_out + self.cells_dropped + self.occupancy
@@ -186,12 +190,10 @@ class PolicyPort:
         """Name of the first run-end invariant that fails, or None."""
         x, held = self.x_per_vc, self.occupancy
         checks = (
-            ("cell conservation", self.conservation_ok()),
+            # occupancy is the busy period left, and the blocks must hold it
             ("occupancy == cells in buffer blocks",
              sum(block[1] for block in self.queue) == held),
-            # the closed-form admission rests on this: one busy period
-            ("occupancy == cells left before _free_at",
-             held == max(0, -(-(self._free_at - self.sim.now) // self.tx_ns))),
+            ("cell conservation", self.conservation_ok()),
             ("sum(x_per_vc) == occupancy", sum(x) == held),
             ("n_active == nonzero x_per_vc", self.n_active == len(x) - x.count(0)),
             ("egress cells_in == cells_out + occupancy",

@@ -214,8 +214,7 @@ def test_oracle_output_is_pinned_byte_for_byte(capsys):
 def test_analyze_output_is_pinned_byte_for_byte(tmp_path, capsys):
     sc = build_scenario("wan", seed=3, scale=0.1, connections=2, duration_s=1.0)
     results = tmp_path / "res.csv"
-    with open(results, "w", newline="") as fh:
-        write_results(run_grid(sc), fh)
+    write_results(run_grid(sc), str(results))
     for metric, digests in ANALYZE_DIGESTS.items():
         prefix = tmp_path / metric
         assert main(["analyze", "--metric", metric, "--in", str(results),

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from decimal import Decimal
 from importlib import resources
 
 import pytest
@@ -48,10 +49,15 @@ def test_effects_sum_to_zero_and_interactions_balance():
 
 
 def test_sum_of_squares_decomposition_is_exhaustive():
-    vals = full_grid(lambda p, f, b: (len(p) * 3 + len(f)) * 0.1 + float(b))
+    # every term is non-zero here, the three-factor one included
+    vals = full_grid(lambda p, f, b: (len(p) * 3 + len(f)) * 0.1 + float(b)
+                     + 0.05 * len(f) * float(b) * (p == "sd"))
     rep = analyze(rows_from(vals), "y")
-    parts = sum(rep.ss[k] for k in rep.ss if k not in ("total",))
-    assert parts == pytest.approx(rep.ss["total"], abs=1e-9)
+    assert all(rep.ss[k] > 1e-6 for k in rep.ss)
+    # the total is the terms' sum: it must be the variation about the mean
+    mean = sum(vals.values()) / len(vals)
+    assert rep.ss["total"] == pytest.approx(
+        sum((v - mean) ** 2 for v in vals.values()), rel=1e-12)
 
 
 ADDITIVE = ({"epd": 0.1, "sd": -0.1},
@@ -108,6 +114,36 @@ def test_an_error_that_is_zero_to_rounding_prices_no_bounds(fn, tmp_path):
         eff = list(csv.DictReader(fh))
     assert len(eff) == 10
     assert all(r["ci_low"] == r["ci_high"] == "" for r in eff)
+
+
+def printed_shares(text):
+    """component -> pct as render_text prints its allocation of variation."""
+    lines = text.splitlines()
+    start = lines.index("allocation of variation") + 2  # past the header
+    return {line[:30].strip(): line.split()[-1]
+            for line in lines[start:lines.index("", start)]}
+
+
+@pytest.mark.parametrize("v", [0.1, 0.3, 0.7, 1.0])
+def test_an_all_equal_matrix_has_no_shares(v, tmp_path):
+    # sum_sq - n * grand^2 read 1.1e-14 at 0.7, which printed a total of
+    # 100.00 over components of 0.00; the terms' sum is 3.5e-29
+    rep = analyze(rows_from(full_grid(lambda p, f, b: v)), "y")
+    shares = printed_shares(render_text(rep))
+    assert len(shares) == 8
+    assert set(shares.values()) == {"0.00"}
+    with open(write_report_csvs(rep, str(tmp_path / "rep"))[0]) as fh:
+        assert {r["pct_of_total"] for r in csv.DictReader(fh)} == {"0.00"}
+
+
+@pytest.mark.parametrize("response", ["efficiency", "fairness"])
+@pytest.mark.parametrize("delay_class", ["wan", "meo", "geo"])
+def test_reference_shares_add_up_to_the_total(delay_class, response):
+    rep = analyze(read_matrix(reference_path(delay_class), response), response)
+    assert rep.ss["total"] == sum(rep.ss[k] for k in rep.ss if k != "total")
+    shares = printed_shares(render_text(rep))
+    assert shares.pop("total") == "100.00"
+    assert abs(sum(map(Decimal, shares.values())) - 100) <= Decimal("0.01")
 
 
 def test_replicates_are_averaged_per_cell():

@@ -4,7 +4,6 @@ import concurrent.futures
 import dataclasses
 import gc
 import hashlib
-import io
 import math
 import os
 
@@ -309,8 +308,9 @@ PORT_CORRUPTIONS = [
      "occupancy == cells in buffer blocks"),
     (lambda topo: _bump(topo.reverse.egress[0].reasm, "frames_corrupt", 10**9),
      "frames_corrupt <= tail drops on each VC"),
+    # occupancy is the busy period left before _free_at
     (lambda topo: _bump(topo.reverse, "_free_at", 10**9),
-     "occupancy == cells left before _free_at"),
+     "occupancy == cells in buffer blocks"),
 ]
 # connection 0; the large bumps outlast any arrival at the final instant
 CONNECTION_CORRUPTIONS = [
@@ -465,14 +465,14 @@ def test_worker_death_fails_its_cells_not_the_grid(monkeypatch):
                   != ("sd", "reno", "1")]
 
 
-def test_results_csv_layout_and_determinism():
+def test_results_csv_layout_and_determinism(tmp_path):
     sc = tiny_scenario(connections=1, duration_s=0.5)
     res = [run_cell_safe(spec) for spec in grid(sc)[:2]]
     bufs = []
-    for _ in range(2):
-        out = io.StringIO()
-        write_results(res, out)
-        bufs.append(out.getvalue())
+    for k in range(2):
+        path = tmp_path / f"r{k}.csv"
+        write_results(res, str(path))
+        bufs.append(path.read_bytes().decode())
     assert bufs[0] == bufs[1]
     lines = bufs[0].splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -513,12 +513,12 @@ def _without_column(csv_text: str, column: str) -> str:
 
 
 @pytest.mark.parametrize("delay_class", sorted(RESULTS_DIGESTS))
-def test_tiny_grid_results_are_pinned_byte_for_byte(delay_class):
+def test_tiny_grid_results_are_pinned_byte_for_byte(delay_class, tmp_path):
     sc = build_scenario(delay_class, seed=3, scale=0.1, connections=2,
                         duration_s=PINNED_DURATION_S[delay_class])
-    out = io.StringIO()
-    write_results(run_grid(sc), out)
-    text = out.getvalue()
+    path = tmp_path / "results.csv"
+    write_results(run_grid(sc), str(path))
+    text = path.read_bytes().decode()
     model = _without_column(text, "events")
     assert hashlib.sha256(model.encode()).hexdigest() == MODEL_DIGESTS[delay_class]
     assert hashlib.sha256(text.encode()).hexdigest() == RESULTS_DIGESTS[delay_class]
@@ -538,9 +538,9 @@ def test_tiny_wan_grid_drop_log_is_pinned_byte_for_byte(tmp_path):
     assert experiment.write_drop_logs(results, str(path)) == 373
     assert sum(r.frames_corrupt for r in results) == 34
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DROP_LOG_DIGEST
-    out = io.StringIO()
-    write_results(results, out)  # logging drops changes no result
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    out = tmp_path / "results.csv"
+    write_results(results, str(out))  # logging drops changes no result
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == RESULTS_DIGESTS["wan"]
 
 

@@ -222,6 +222,7 @@ def test_lazy_port_matches_event_driven_oracle(policy, capacity, seed):
         ties += bool(fast.queue) and fast.queue[0][0] == t
         fast.on_cell(frame, k, k + 1, 0)     # a run of one cell
         slow.on_cell(*cell_of(frame, k))
+        assert fast.occupancy == slow.occupancy
     assert ties > 0
     assert fast.drop_log == slow.drop_log
     assert len(fast.drop_log) > 0
