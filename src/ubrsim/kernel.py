@@ -4,19 +4,14 @@ Time is an integer count of simulated nanoseconds so that event ordering is
 exact and runs are bit-reproducible across platforms.
 
 Ordering contract: every event has a key (fire_at, sequence), where sequence
-is the schedule order, and events fire in strictly increasing key order.  A
-train from `schedule_train(at, step, n, fn, arg)` has a positive step and at
-least one member.  It takes n consecutive sequence numbers at once; member i
-has key (at + i*step, base + i).  The train occupies one heap entry, keyed
-by its next member.  When that entry fires, the members i..j-1 that are due,
-i.e. whose keys are below every other pending key and whose times are not
-past the run's end, fire as one run: one call fn(arg, i, j, step) with `now`
-at member j-1's time.  The kernel never looks inside `arg`; what a member is,
-is fn's business.  Each member counts as one event, so the firing order and
-`events_processed` are exactly those of n separate `schedule` calls, provided
-that only the last member of a run schedules anything.  Since `now` is the
-run's last time, `schedule` refuses any event an earlier member would put
-inside the run.
+is the schedule order, and events fire in strictly increasing key order.
+`schedule_block(at, n, fn, arg)` takes n >= 1 consecutive sequence numbers
+at once and returns the first; its one event has key (at, first + n - 1),
+so it fires exactly where the last of n separate `schedule` calls would.
+The other n - 1 numbers are the caller's, for work it keys and does itself
+at or before `at`: a bottleneck port numbers a frame's cells with them and
+takes the cells when the frame's event fires.  `events_processed` counts the
+events that fire; a handler that does such work adds what it did.
 
 A `Timer(sim, fn)` is a deadline that is reset far more often than it
 expires.  Each `set(at)` takes a sequence number as `schedule` does, and fn()
@@ -44,7 +39,7 @@ def seconds(t: float | int) -> int:
 
 
 class SchedulingError(Exception):
-    """Raised for an event before the current virtual time or a malformed train."""
+    """Raised for an event or a timer deadline before the current virtual time."""
 
 
 def derive_seed(master_seed: int, *labels) -> int:
@@ -91,7 +86,6 @@ class Simulator:
         self._seq = 0
         self._heap: list = []
         self._streams: dict[str, RngStream] = {}
-        self._end = 0  # end of the current run_until
         self.events_processed = 0
 
     def stream(self, stream_id: str) -> RngStream:
@@ -109,45 +103,15 @@ class Simulator:
         heappush(self._heap, (at, self._seq, fn, arg))
         self._seq += 1
 
-    def schedule_train(self, at: int, step: int, n: int, fn, arg) -> None:
-        """Schedule n members, member i at `at` + i*`step`, as one heap entry.
-
-        Due members fire in runs, as fn(arg, i, j, step) for members i..j-1;
-        same order and event count as scheduling each member on its own.
-        """
+    def schedule_block(self, at: int, n: int, fn, arg) -> int:
+        """Take n sequence numbers and schedule fn(arg) at `at` under the
+        last of them; return the first.  Past times are fatal."""
         if at < self.now:
             raise SchedulingError(f"schedule at t={at} ns before now={self.now} ns")
-        if step <= 0 or n < 1:
-            raise SchedulingError(f"a train needs a positive step and a member, "
-                                  f"got step {step} ns and {n} members")
-        heappush(self._heap, (at, self._seq, self._fire_train,
-                              (fn, arg, 0, n, step, self._seq)))
-        self._seq += n
-
-    def _fire_train(self, train) -> None:
-        # member i is due (now is its time); members i..j-1 are due while
-        # their key is below the heap top's and their time is not past end.
-        fn, arg, i, n, step, seq = train
-        heap = self._heap
-        t = self.now
-        j = i + 1 + (self._end - t) // step
-        if heap:
-            # member i+d is the last one not after the top's time; it is
-            # due if it is before it or ties it with a lower sequence
-            d, r = divmod(heap[0][0] - t, step)
-            below = i + d + (r > 0 or seq + d < heap[0][1])
-            if below < j:
-                j = below
-        if j > n:
-            j = n
-        last = t + (j - 1 - i) * step
-        self.now = last
-        fn(arg, i, j, step)
-        self.events_processed += j - i - 1
-        if j < n:
-            seq += j - i
-            heappush(heap, (last + step, seq, self._fire_train,
-                            (fn, arg, j, n, step, seq)))
+        seq = self._seq
+        self._seq = seq + n
+        heappush(self._heap, (at, seq + n - 1, fn, arg))
+        return seq
 
     def clear(self) -> None:
         """Drop every pending event."""
@@ -156,7 +120,6 @@ class Simulator:
     def run_until(self, end: int) -> None:
         """Process every event with fire_at <= end; clock finishes at `end`."""
         heap = self._heap
-        self._end = end
         n = 0
         while heap:
             t, _, fn, arg = heap[0]

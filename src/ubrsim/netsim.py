@@ -100,7 +100,7 @@ class Topology:
         end = seconds(sc.duration_s)
         self.sim.run_until(end)
         for port in (self.forward, self.reverse):
-            port._complete(end)
+            port.catch_up(end)
             broken = port.broken_invariant()
             if broken:
                 raise RuntimeError(

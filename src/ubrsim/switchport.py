@@ -2,11 +2,16 @@
 
 Every cell arrival at an inter-switch output port counts as one event, and
 the drop policy is evaluated at frame boundaries against the live buffer
-state.  A frame is one `aal5.Frame(vc, n, seg)`, a kernel train of n cells
-whose eom cell n carries seg, and the port takes each run of due cells in
-one call: it judges the policy at the frame's first cell, admits the cells
-that find room as one block, and finds the cell that meets a full buffer,
-if any, in closed form.
+state.  A frame is one `aal5.Frame(vc, n, seg)` of n cells whose eom cell n
+carries seg.  Its ingress link numbers the cells with n kernel sequence
+numbers and registers them with the port, and the kernel holds one event
+for the frame, at its eom cell's key.  When it fires, the port takes every
+registered cell up to that eom in (time, seq) order, in runs of consecutive
+cells of one frame, and judges each run in one call: the policy at the
+frame's first cell, one block of the cells that find room, and the cell that
+meets a full buffer, if any, found in closed form.  Only an eom cell can
+schedule an event, so taking body cells late changes nothing the rest of
+the simulation sees.
 The ports and the lossless access links are all exact closed-form FIFO rate
 servers: a cell departs at max(arrival, previous departure) + 424/rate, with
 no per-cell transmission event.  A port retires the cells that have left
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from heapq import heappop, heappush, heapreplace
 
 from .aal5 import CELL_BYTES, Frame
 from .kernel import Simulator
@@ -68,6 +74,12 @@ class PolicyPort:
     `_complete(now)` retires departed cells; every decision calls it first.
     A run carries its frame's boundaries: its first cell is i == 0, its eom
     run ends at j == n.
+
+    `arrivals` is a heap of the frames whose cells have not all arrived,
+    each as [next cell's time, its seq, its index, frame, step], ordered by
+    the next cell's key.  A run ends before the next key of another frame.
+    `catch_up(end)` takes the cells that arrive by `end` and retires those
+    gone by then, so the port's state is its state at `end`.
     """
 
     def __init__(self, sim: Simulator, name: str, rate_bps: float, capacity: int,
@@ -81,6 +93,7 @@ class PolicyPort:
         self.threshold = math.floor(R * capacity + 1e-9)  # R*K in whole cells
         self.tx_ns = cell_time_ns(rate_bps)
         self.queue: deque = deque()
+        self.arrivals: list = []  # registered by the ingress links
         self._free_at = 0  # departure time of the last admitted cell
         self.x_per_vc = [0] * num_vcs
         self.n_active = 0
@@ -92,12 +105,61 @@ class PolicyPort:
         self.cells_dropped = 0
         self.drop_log: list | None = [] if log_drops else None
 
-    def on_cell(self, frame: Frame, i: int, j: int, step: int) -> None:
-        """Arrival of cells i..j-1 of `frame`, the last of them at now: the
+    def on_cell(self, frame: Frame) -> None:
+        """The eom cell of `frame` arrives now: take it and every registered
+        cell before it.  The kernel counted the eom cell's event."""
+        self.sim.events_processed += self._take(frame, self.sim.now) - 1
+
+    def catch_up(self, end: int) -> None:
+        """Take every registered cell that arrives by `end`, then retire the
+        cells that have left by then."""
+        self.sim.events_processed += self._take(None, end)
+        self._complete(end)
+
+    def _take(self, frame: Frame | None, end: int) -> int:
+        """Take registered cells in (time, seq) order while they arrive by
+        `end`, through the eom cell of `frame`; return how many."""
+        arrivals = self.arrivals
+        taken = 0
+        while arrivals:
+            rec = arrivals[0]
+            t, seq, i, f, step = rec
+            if t > end:
+                break
+            n = f.n
+            j = i + 1 + (end - t) // step  # past the cells that arrive by end
+            if j > n:
+                j = n
+            if len(arrivals) > 1:
+                # the cells before the next key of another frame: cell i+d
+                # is the last one not after its time, and comes first if it
+                # is earlier or ties it with a lower seq
+                nxt = arrivals[1]
+                if len(arrivals) > 2 and arrivals[2] < nxt:
+                    nxt = arrivals[2]
+                d, r = divmod(nxt[0] - t, step)
+                below = i + d + (r > 0 or seq + d < nxt[1])
+                if below < j:
+                    j = below
+            self._arrive(f, i, j, step, t)
+            taken += j - i
+            if j == n:
+                heappop(arrivals)
+                if f is frame:
+                    break
+            else:
+                m = j - i
+                rec[0] = t + m * step
+                rec[1] = seq + m
+                rec[2] = j
+                heapreplace(arrivals, rec)
+        return taken
+
+    def _arrive(self, frame: Frame, i: int, j: int, step: int, t: int) -> None:
+        """Arrival of cells i..j-1 of `frame`, step ns apart from t: the
         policy at the frame's first cell, then one block of the cells that
         find room, and a tail drop at the first cell that finds none."""
         m = j - i
-        t = self.sim.now - (m - 1) * step  # arrival of cell i
         q = self.queue
         if q and q[0][0] <= t:
             self._complete(t)
@@ -212,8 +274,8 @@ class IngressLink:
     Exact FIFO rate server: cells offered at time t depart at
     max(t, previous departure) + tx and reach the switch one propagation
     delay later, where each is a port arrival event.  A frame's cells are
-    evenly spaced, so they go to the kernel as one train, which hands them
-    to the port in runs.
+    evenly spaced, so they go to the port as one arrival record, numbered by
+    one kernel block whose event is the eom cell's.
     """
 
     __slots__ = ("sim", "port", "tx_ns", "prop_ns", "_free_at")
@@ -226,13 +288,15 @@ class IngressLink:
         self._free_at = 0
 
     def offer_frame(self, frame: Frame) -> None:
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         start = now if now > self._free_at else self._free_at
         tx = self.tx_ns
-        sim.schedule_train(start + tx + self.prop_ns, tx, frame.n,
-                           self.port.on_cell, frame)
-        self._free_at = start + tx * frame.n
+        n = frame.n
+        first = start + tx + self.prop_ns
+        port = self.port
+        seq = self.sim.schedule_block(first + (n - 1) * tx, n, port.on_cell, frame)
+        heappush(port.arrivals, [first, seq, 0, frame, tx])
+        self._free_at = start + tx * n
 
 
 class EgressLink:

@@ -1,4 +1,4 @@
-"""Event kernel: ordering, trains, timers, error handling, RNG stream stability."""
+"""Event kernel: ordering, blocks, timers, error handling, RNG stream stability."""
 
 import functools
 import itertools
@@ -76,102 +76,66 @@ def test_schedule_at_now_is_allowed():
     assert fired == ["x"]
 
 
-# an event (n == 0) or a train of n members: (at, step, n); a train's step
-# is positive
-EVENTS = st.tuples(st.integers(0, 40), st.integers(1, 4), st.integers(0, 6))
-# what the j-th event to fire schedules if it is a single event or the last
-# member of its train: at its own time or one step later, one event or a train
-SPAWNS = st.tuples(st.sampled_from(("now", "next")), st.integers(1, 4),
-                   st.integers(0, 6))
-
-
-def _drive(use_trains, events, spawns, ends):
-    """Fire every event, log (now, item) and snapshot the log at each end."""
+def test_a_block_takes_n_numbers_and_fires_under_the_last():
     sim = Simulator()
     fired = []
-    op_ids = itertools.count()
-
-    def add(at, step, n):
-        k = next(op_ids)
-        items = [(k, i, step, i == max(n, 1) - 1) for i in range(max(n, 1))]
-        if n == 0:
-            sim.schedule(at, fire, items[0])
-        elif use_trains:
-            sim.schedule_train(at, step, len(items), fire_run, items)
-        else:  # the oracle: every member scheduled on its own
-            for i, item in enumerate(items):
-                sim.schedule(at + i * step, fire, item)
-
-    def fire(item):
-        fired.append((sim.now, item))
-        j = len(fired) - 1
-        if item[3] and j < len(spawns):
-            when, step, n = spawns[j]
-            add(sim.now if when == "now" else sim.now + item[2], step, n)
-
-    def fire_run(items, i, j, step):
-        # members before the last must see their own times; only the last
-        # one, at now, may spawn
-        now = sim.now
-        for k in range(i, j - 1):
-            fired.append((now - (j - 1 - k) * step, items[k]))
-        fire(items[j - 1])
-
-    for at, step, n in events:
-        add(at, step, n)
-    snapshots = []
-    for end in ends:
-        sim.run_until(end)
-        snapshots.append((list(fired), sim.events_processed, sim.now))
-    return snapshots
+    sim.schedule(10, fired.append, "a")
+    assert sim.schedule_block(10, 3, fired.append, "block") == 1
+    sim.schedule(10, fired.append, "c")  # the next number is first + n
+    assert sorted(e[:2] for e in sim._heap) == [(10, 0), (10, 3), (10, 4)]
+    sim.run_until(10)
+    assert fired == ["a", "block", "c"] and sim.events_processed == 3
 
 
-@given(st.lists(EVENTS, min_size=1, max_size=12), st.lists(SPAWNS, max_size=20),
+# an event (n == 0) or a block of n sequence numbers: (at, n); what the j-th
+# event to fire schedules, at its own time plus at
+OPS = st.tuples(st.integers(0, 40), st.integers(0, 4))
+
+
+@given(st.lists(OPS, min_size=1, max_size=12), st.lists(OPS, max_size=20),
        st.lists(st.integers(0, 90), min_size=1, max_size=4).map(sorted))
 @settings(max_examples=300, deadline=None)
-def test_trains_fire_like_one_schedule_per_member(events, spawns, ends):
-    got = _drive(True, events, spawns, ends)
-    assert got == _drive(False, events, spawns, ends)
-    for fired, processed, now in got:
-        assert processed == len(fired)
-        assert [t for t, _ in fired] == sorted(t for t, _ in fired)
-
-
-def test_train_cut_by_run_end_resumes_at_its_next_member():
+def test_blocks_fire_in_key_order_under_their_last_number(ops, spawns, ends):
+    """Every event fires once, in the order of its key from an independent
+    count of the sequence numbers: a block's key is its last number."""
     sim = Simulator()
+    numbers = itertools.count()
+    keys = []
     fired = []
-    runs = []
 
-    def fire_run(items, i, j, step):
-        runs.append((sim.now, items[i:j]))
-        fired.extend((sim.now - (j - 1 - k) * step, items[k]) for k in range(i, j))
+    def add(at, n):
+        if n == 0:
+            sim.schedule(at, fire, len(keys))
+            keys.append((at, next(numbers)))
+        else:
+            taken = [next(numbers) for _ in range(n)]
+            assert sim.schedule_block(at, n, fire, len(keys)) == taken[0]
+            keys.append((at, taken[-1]))
 
-    sim.schedule_train(10, 5, 4, fire_run, "abcd")
-    sim.schedule(15, lambda x: fired.append((sim.now, x)), "z")
-    sim.run_until(20)
-    assert fired == [(10, "a"), (15, "b"), (15, "z"), (20, "c")]
-    assert runs == [(15, "ab"), (20, "c")]
-    assert sim.events_processed == 4
-    sim.run_until(100)
-    assert fired[-1] == (25, "d") and sim.events_processed == 5
-    assert runs[-1] == (25, "d")
+    def fire(k):
+        assert sim.now == keys[k][0]
+        fired.append(keys[k])
+        if len(fired) <= len(spawns):
+            at, n = spawns[len(fired) - 1]
+            add(sim.now + at, n)
+
+    for at, n in ops:
+        add(at, n)
+    for end in ends:
+        sim.run_until(end)
+        assert fired == sorted(key for key in keys if key[0] <= end)
+        assert sim.events_processed == len(fired)
 
 
-def test_a_spawn_inside_a_run_raises():
-    """A run's handler runs at its last member's time, so an event that an
-    earlier member would put before that time is refused, not misordered."""
+def test_schedule_block_in_the_past_raises():
     sim = Simulator()
-    runs = []
-
-    def fire_run(items, i, j, step):
-        runs.append((sim.now, items[i:j]))
-        first = sim.now - (j - 1 - i) * step
-        sim.schedule(first + 1, lambda _: None)  # before member i + 1
-
-    sim.schedule_train(10, 5, 4, fire_run, "abcd")
+    sim.run_until(10)
     with pytest.raises(SchedulingError):
-        sim.run_until(100)
-    assert runs == [(25, "abcd")]
+        sim.schedule_block(9, 2, lambda _: None, None)
+    # a refused block takes no numbers; one at now is allowed
+    assert sim.schedule_block(10, 2, lambda _: None, None) == 0
+    sim.run_until(20)
+    assert sim.events_processed == 1
 
 
 class GenTimer:
@@ -200,12 +164,12 @@ class GenTimer:
 
 
 # what a callback does, in order: set timer a to now + b, cancel timer a,
-# schedule an event at now + a, or a train of 3 members at now + a, b apart
+# schedule an event at now + a, or a block of b numbers at now + a
 ACTIONS = st.one_of(
     st.tuples(st.just("set"), st.integers(0, 1), st.integers(0, 6)),
     st.tuples(st.just("cancel"), st.integers(0, 1), st.just(0)),
     st.tuples(st.just("event"), st.integers(0, 6), st.just(0)),
-    st.tuples(st.just("train"), st.integers(0, 6), st.integers(1, 3)))
+    st.tuples(st.just("block"), st.integers(0, 6), st.integers(1, 3)))
 
 
 def _drive_timers(use_timer, script, ends):
@@ -238,7 +202,7 @@ def _drive_timers(use_timer, script, ends):
             elif kind == "event":
                 sim.schedule(now + a, on_event, next(op_ids))
             else:
-                sim.schedule_train(now + a, b, 3, on_run, next(op_ids))
+                sim.schedule_block(now + a, b, on_event, next(op_ids))
         if use_timer:
             for t, extra in zip(timers, earlier):
                 own = [e[:2] for e in sim._heap
@@ -249,12 +213,6 @@ def _drive_timers(use_timer, script, ends):
     def on_event(k):
         log(("event", k))
         act()
-
-    def on_run(k, i, j, step):
-        for m in range(i, j):
-            fired.append((sim.now - (j - 1 - m) * step, ("train", k, m)))
-        if j == 3:
-            act()  # only a train's last member acts
 
     def on_timer(i):
         log(("timer", i))
@@ -297,22 +255,6 @@ def test_timer_reset_costs_no_event_and_cancel_drops_its_entry():
     assert fired == [30] and sim._heap == [] and sim.events_processed == 4
     with pytest.raises(SchedulingError):
         timer.set(199)
-
-
-def test_schedule_train_in_the_past_raises():
-    sim = Simulator()
-    sim.run_until(10)
-    with pytest.raises(SchedulingError):
-        sim.schedule_train(9, 1, 2, lambda _: None, None)
-    with pytest.raises(SchedulingError):
-        sim.schedule_train(10, -1, 2, lambda _: None, None)
-    # a train has a positive step and a member: neither is queued
-    with pytest.raises(SchedulingError):
-        sim.schedule_train(10, 0, 2, lambda _: None, None)
-    with pytest.raises(SchedulingError):
-        sim.schedule_train(10, 1, 0, lambda _: None, None)
-    sim.run_until(20)
-    assert sim.events_processed == 0
 
 
 def test_seconds_conversion():

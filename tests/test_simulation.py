@@ -6,6 +6,7 @@ import gc
 import hashlib
 import math
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,37 @@ def test_drop_log_capture():
     assert set(res.drop_logs) == {"forward", "reverse"}
     assert res.cells_dropped > 0
     assert len(res.drop_logs["forward"]) > 0
+
+
+@pytest.mark.parametrize("delay_class, duration_s", [("wan", 3.0), ("geo", 12.0)])
+def test_a_cell_run_in_slices_matches_the_one_shot_run(delay_class, duration_s):
+    """The kernel runs in about 200 slices that end at random times, and
+    each port catches up at every slice end, so it holds exactly the cells
+    that arrived by then: the row, `events` included, and the drop logs are
+    those of one run to the end."""
+    sc = tiny_scenario(delay_class, connections=10, duration_s=duration_s)
+    spec = RunSpec(sc, "sd", "reno", "0.5")
+    whole = run_cell(spec, log_drops=True)
+    topo = Topology(spec, log_drops=True)
+    run_until = topo.sim.run_until
+    rng = random.Random(5)
+    split = []  # cuts that fall inside a frame's arrival at a port
+
+    def sliced(end):
+        for cut in sorted(rng.sample(range(end), 199)):
+            run_until(cut)
+            for port in (topo.forward, topo.reverse):
+                port.catch_up(cut)
+                split.extend(cut for rec in port.arrivals if rec[2])
+        run_until(end)
+
+    topo.sim.run_until = sliced
+    try:
+        res = topo.run()
+    finally:
+        topo.close()
+    assert whole.status == "ok" and whole.cells_dropped > 0 and split
+    assert res == whole
 
 
 def test_run_cell_safe_turns_crash_into_error_row():
@@ -487,7 +519,7 @@ def test_results_csv_layout_and_determinism(tmp_path):
 # SHA-256 of the results CSV of three tiny grids (2 connections, seed 3),
 # run for 1 s, and for 5 s on geo, which drops nothing in 1 s.  The wan grid
 # sees drops, timeouts and fast recovery.  The geo grid's 193-cell frames
-# make the longest kernel trains; it drops 45,384 cells, with 4 corrupt
+# interleave the most at a port; it drops 45,384 cells, with 4 corrupt
 # frames, 2 timeouts and 24 fast recoveries.  Refactors keep these digests;
 # a change that alters results on purpose updates them and says why.
 RESULTS_DIGESTS = {

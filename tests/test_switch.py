@@ -1,5 +1,6 @@
 """Bottleneck policy port: drop decisions, conservation, conveyor links."""
 
+import bisect
 import random
 
 import pytest
@@ -47,7 +48,7 @@ def cell_of(frame, k):
 
 def feed_frame(port, vc, ncells, seq=0):
     """All of the frame's cells arrive now, as one run with a zero step."""
-    port.on_cell(make_frame(vc, ncells, seq), 0, ncells, 0)
+    port._arrive(make_frame(vc, ncells, seq), 0, ncells, 0, port.sim.now)
 
 
 def test_cell_time_at_bottleneck_rate():
@@ -220,7 +221,7 @@ def test_lazy_port_matches_event_driven_oracle(policy, capacity, seed):
         fast_sim.run_until(t)
         slow_sim.run_until(t)                # completions at t fire first
         ties += bool(fast.queue) and fast.queue[0][0] == t
-        fast.on_cell(frame, k, k + 1, 0)     # a run of one cell
+        fast._arrive(frame, k, k + 1, 0, t)  # a run of one cell
         slow.on_cell(*cell_of(frame, k))
         assert fast.occupancy == slow.occupancy
     assert ties > 0
@@ -237,30 +238,49 @@ def test_lazy_port_matches_event_driven_oracle(policy, capacity, seed):
             == [getattr(slow, c) for c in counters])
 
 
-class Tap:
-    """Port stand-in between IngressLinks and a port: logs each run's cells
-    as (arrival time, frame, k), then hands the run on."""
+class ArrivalLog:
+    """Wraps a port's run logic: logs each run's cells as (arrival time,
+    frame, k), then hands the run on."""
 
-    def __init__(self, sim, port):
-        self.sim = sim
+    def __init__(self, port):
         self.port = port
-        self.arrivals = []
+        self.judge = port._arrive
+        port._arrive = self  # the instance attribute shadows the method
+        self.cells = []
         self.ties = 0  # runs that arrive just as the head block's cell departs
         self.blocks = 0  # runs admitted as one block of several cells
 
-    def on_cell(self, frame, i, j, step):
-        t = self.sim.now - (j - 1 - i) * step
-        self.arrivals += ((t + (k - i) * step, frame, k) for k in range(i, j))
+    def __call__(self, frame, i, j, step, t):
+        self.cells += ((t + (k - i) * step, frame, k) for k in range(i, j))
         q = self.port.queue
         self.ties += bool(q) and q[0][0] == t
         tail = q[-1] if q else None
-        self.port.on_cell(frame, i, j, step)
+        self.judge(frame, i, j, step, t)
         self.blocks += bool(q) and q[-1] is not tail and q[-1][1] > 1
+
+
+def expected_arrivals(offers, tx, prop_ns):
+    """(time, seq, frame, k) of every cell of `offers`, the (offer time,
+    frame) pairs scheduled in this order on a new kernel, in (time, seq)
+    order.  Each VC's link sends its frames back to back from
+    max(offer time, link free), and the kernel numbers each frame's cells
+    with the next n sequence numbers after the offers' own."""
+    free = {}
+    seq = len(offers)
+    cells = []
+    for t, frame in offers:
+        start = max(t, free.get(frame.vc, 0))
+        cells += ((start + (k + 1) * tx + prop_ns, seq + k, frame, k)
+                  for k in range(frame.n))
+        seq += frame.n
+        free[frame.vc] = start + frame.n * tx
+    return sorted(cells, key=lambda c: c[:2])
 
 
 ORACLE_POLICIES = pytest.mark.parametrize("policy", [EPD, SD])
 ORACLE_BUFFERS = pytest.mark.parametrize(
-    "max_frame, capacity", [(8, 8), (8, 20), (23, 23), (23, 60)])
+    "max_frame, capacity",
+    [(8, 8), (8, 20), (23, 23), (23, 60), (193, 193), (193, 500)])
 ORACLE_SEEDS = pytest.mark.parametrize("seed", [1, 2])
 
 
@@ -268,41 +288,63 @@ ORACLE_SEEDS = pytest.mark.parametrize("seed", [1, 2])
 @ORACLE_BUFFERS
 @ORACLE_SEEDS
 def test_block_port_fed_by_ingress_trains_matches_event_driven_oracle(
-        policy, max_frame, capacity, seed, ratio=3):
-    """Several VCs' IngressLinks feed the port as real kernel trains; the
-    oracle port gets the same arrivals one cell at a time.  All times sit on
-    the access cell time's grid and the port's cell time is `ratio` of those,
-    so arrivals tie with each other and with departures."""
+        policy, max_frame, capacity, seed, ratio=3, cuts=0):
+    """Several VCs' IngressLinks feed the real port, each frame's cells an
+    evenly spaced train; the oracle port gets the same arrivals one cell at
+    a time.  All times sit on the access cell time's grid and the port's
+    cell time is `ratio` of those, so arrivals tie with each other and with
+    departures.  With `cuts`, the kernel runs in slices that end at random
+    times, half of them on a cell's arrival, and the port catches up at
+    each slice end, holding exactly the cells that arrive by then."""
     num_vcs = 4
     access_tx = cell_time_ns(149.76e6)
+    prop_ns = 10 * access_tx
     port_rate = 424e9 / (ratio * access_tx)
     fast_sim, fast = make_port(policy, capacity=capacity, num_vcs=num_vcs,
                                rate=port_rate)
-    tap = Tap(fast_sim, fast)
-    links = [IngressLink(fast_sim, tap, 149.76e6, prop_ns=10 * access_tx)
+    log = ArrivalLog(fast)
+    links = [IngressLink(fast_sim, fast, 149.76e6, prop_ns)
              for _ in range(num_vcs)]
     rng = random.Random(seed)
+    offers = []
     t = 0
-    for frame in range(1500):
+    for number in range(min(1500, 60_000 // max_frame)):
         t += access_tx * rng.choice((0, 0, 1, 3, rng.randrange(40)))
-        vc = rng.randrange(num_vcs)
-        fast_sim.schedule(t, links[vc].offer_frame,
-                          make_frame(vc, rng.randint(1, max_frame), seq=frame))
+        frame = make_frame(rng.randrange(num_vcs), rng.randint(1, max_frame),
+                           seq=number)
+        fast_sim.schedule(t, links[frame.vc].offer_frame, frame)
+        offers.append((t, frame))
+    expected = expected_arrivals(offers, access_tx, prop_ns)
+    times = [c[0] for c in expected]
+    split = 0
+    for cut in sorted(rng.sample(times, cuts // 2)
+                      + rng.sample(range(times[-1]), cuts - cuts // 2)):
+        fast_sim.run_until(cut)
+        fast.catch_up(cut)
+        arrived = bisect.bisect_right(times, cut)
+        assert fast.cells_in == len(log.cells) == arrived
+        assert fast_sim.events_processed == (
+            bisect.bisect_right([o[0] for o in offers], cut) + arrived)
+        split += any(rec[2] for rec in fast.arrivals)
     fast_sim.run_until(t + 10 ** 9)
-    fast._complete(fast_sim.now)
+    fast.catch_up(fast_sim.now)
 
+    assert log.cells == [(t, frame, k) for t, _, frame, k in expected]
+    assert fast_sim.events_processed == len(offers) + len(expected)
     slow_sim = Simulator()
     slow = EventDrivenPort(slow_sim, port_rate, capacity, policy, num_vcs)
     slow.egress = [EgressRecorder(slow.tx_ns) for _ in range(num_vcs)]
     same_ns = 0
-    for a, (t, frame, k) in enumerate(tap.arrivals):
+    for a, (t, frame, k) in enumerate(log.cells):
         slow_sim.run_until(t)                # completions at t fire first
         slow.on_cell(*cell_of(frame, k))
-        same_ns += a > 0 and tap.arrivals[a - 1][0] == t
+        prev = log.cells[a - 1]
+        same_ns += a > 0 and prev[0] == t and prev[1] is not frame
     slow_sim.run_until(t + 10 ** 9)
 
     assert fast.tx_ns == ratio * access_tx
-    assert tap.blocks > 0 and tap.ties > 0 and same_ns > 0
+    assert log.blocks > 0 and log.ties > 0 and same_ns > 0
+    assert split >= (cuts > 0)              # some cut fell inside a frame
     assert sum(fast.tail_drops) > 0         # some runs met a full buffer
     assert fast.drop_log == slow.drop_log
     for f, s in zip(fast.egress, slow.egress):
@@ -311,7 +353,7 @@ def test_block_port_fed_by_ingress_trains_matches_event_driven_oracle(
                 "n_active", "x_per_vc")
     assert ([getattr(fast, c) for c in counters]
             == [getattr(slow, c) for c in counters])
-    assert fast.cells_in == len(tap.arrivals)
+    assert fast.arrivals == []
 
 
 @ORACLE_POLICIES
@@ -326,26 +368,36 @@ def test_block_port_at_the_access_cell_time_matches_event_driven_oracle(
         policy, max_frame, capacity, seed, ratio=1)
 
 
+@ORACLE_POLICIES
+@pytest.mark.parametrize("max_frame, capacity", [(8, 20), (23, 23), (193, 193)])
+@pytest.mark.parametrize("ratio", [1, 3])
+def test_block_port_cut_at_random_times_matches_event_driven_oracle(
+        policy, max_frame, capacity, ratio):
+    """The same check with the run cut at 50 random times and the port's
+    end-of-run catch-up at each cut."""
+    test_block_port_fed_by_ingress_trains_matches_event_driven_oracle(
+        policy, max_frame, capacity, 3, ratio=ratio, cuts=50)
+
+
 def test_ingress_link_paces_and_delays_cells():
-    sim = Simulator()
-    arrivals = []
-
-    class PortStub:
-        def on_cell(self, frame, i, j, step):
-            arrivals.extend((sim.now - (j - 1 - k) * step, frame, k)
-                            for k in range(i, j))
-
-    link = IngressLink(sim, PortStub(), 149.76e6, prop_ns=5000)
+    sim, port = make_port(EPD)
+    log = ArrivalLog(port)
+    link = IngressLink(sim, port, 149.76e6, prop_ns=5000)
     seg = Segment(0, 100, None)
     link.offer_frame(segment_to_cells(0, seg))         # 4 cells
     link.offer_frame(segment_to_cells(0, seg))         # queued behind
-    sim.run_until(10 ** 9)
+    # one kernel entry per frame, under the last of its 4 sequence numbers
     tx = 2831
-    assert [t for t, _, _ in arrivals] == [tx * k + 5000 for k in range(1, 9)]
-    assert [k for _, _, k in arrivals] == [0, 1, 2, 3] * 2
-    _, frame, k = arrivals[3]
+    assert sorted(e[:2] for e in sim._heap) == [(4 * tx + 5000, 3),
+                                                 (8 * tx + 5000, 7)]
+    assert sim._seq == 8
+    sim.run_until(10 ** 9)
+    assert [t for t, _, _ in log.cells] == [tx * k + 5000 for k in range(1, 9)]
+    assert [k for _, _, k in log.cells] == [0, 1, 2, 3] * 2
+    _, frame, k = log.cells[3]
     assert cell_of(frame, k) == (0, frame)             # the first eom cell
     assert frame.seg == seg
+    assert sim.events_processed == 8
 
 
 def test_egress_link_delivers_intact_frames_at_arrival_time():
