@@ -3,15 +3,15 @@
 Time is an integer count of simulated nanoseconds so that event ordering is
 exact and runs are bit-reproducible across platforms.
 
-Ordering contract: every event has a key (fire_at, sequence), where sequence
-is the schedule order, and events fire in strictly increasing key order.
-`schedule_block(at, n, fn, arg)` takes n >= 1 consecutive sequence numbers
-at once and returns the first; its one event has key (at, first + n - 1),
-so it fires exactly where the last of n separate `schedule` calls would.
-The other n - 1 numbers are the caller's, for work it keys and does itself
-at or before `at`: a bottleneck port numbers a frame's cells with them and
-takes the cells when the frame's event fires.  `events_processed` counts the
-events that fire; a handler that does such work adds what it did.
+Ordering contract: `schedule(at, fn, arg, n)` takes n >= 1 consecutive
+sequence numbers, one by default, and returns the first; its event has key
+(at, last of them), and events fire in strictly increasing key order.  So
+events at one time fire in schedule order, and an event of n numbers fires
+exactly where the last of n separate calls would.  The other n - 1 numbers
+are the caller's, for work it keys and does itself at or before `at`: a
+bottleneck port numbers a frame's cells with them and takes the cells when
+the frame's event fires.  `events_processed` counts the events that fire; a
+handler that does such work adds what it did.
 
 A `Timer(sim, fn)` is a deadline that is reset far more often than it
 expires.  Each `set(at)` takes a sequence number as `schedule` does, and fn()
@@ -39,7 +39,8 @@ def seconds(t: float | int) -> int:
 
 
 class SchedulingError(Exception):
-    """Raised for an event or a timer deadline before the current virtual time."""
+    """Raised when `schedule` or `Timer.set` asks for a time before the
+    current virtual time; the refused call takes no sequence number."""
 
 
 def derive_seed(master_seed: int, *labels) -> int:
@@ -96,16 +97,9 @@ class Simulator:
             self._streams[stream_id] = s
         return s
 
-    def schedule(self, at: int, fn, arg=None) -> None:
-        """Schedule fn(arg) at virtual time `at` (ns).  Past times are fatal."""
-        if at < self.now:
-            raise SchedulingError(f"schedule at t={at} ns before now={self.now} ns")
-        heappush(self._heap, (at, self._seq, fn, arg))
-        self._seq += 1
-
-    def schedule_block(self, at: int, n: int, fn, arg) -> int:
-        """Take n sequence numbers and schedule fn(arg) at `at` under the
-        last of them; return the first.  Past times are fatal."""
+    def schedule(self, at: int, fn, arg=None, n: int = 1) -> int:
+        """Schedule fn(arg) at virtual time `at` (ns) under the last of n
+        new sequence numbers; return the first.  Past times are fatal."""
         if at < self.now:
             raise SchedulingError(f"schedule at t={at} ns before now={self.now} ns")
         seq = self._seq

@@ -140,6 +140,9 @@ class PolicyPort:
                 d, r = divmod(nxt[0] - t, step)
                 below = i + d + (r > 0 or seq + d < nxt[1])
                 if below < j:
+                    if below <= i:  # only a broken merge or heap order
+                        raise RuntimeError(f"port {self.name}: a run of no "
+                                           f"cells at t={t} ns, seq {seq}")
                     j = below
             self._arrive(f, i, j, step, t)
             taken += j - i
@@ -275,7 +278,7 @@ class IngressLink:
     max(t, previous departure) + tx and reach the switch one propagation
     delay later, where each is a port arrival event.  A frame's cells are
     evenly spaced, so they go to the port as one arrival record, numbered by
-    one kernel block whose event is the eom cell's.
+    one `schedule` call of n numbers whose event is the eom cell's.
     """
 
     __slots__ = ("sim", "port", "tx_ns", "prop_ns", "_free_at")
@@ -294,7 +297,7 @@ class IngressLink:
         n = frame.n
         first = start + tx + self.prop_ns
         port = self.port
-        seq = self.sim.schedule_block(first + (n - 1) * tx, n, port.on_cell, frame)
+        seq = self.sim.schedule(first + (n - 1) * tx, port.on_cell, frame, n)
         heappush(port.arrivals, [first, seq, 0, frame, tx])
         self._free_at = start + tx * n
 

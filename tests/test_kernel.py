@@ -61,11 +61,17 @@ def test_run_until_leaves_future_events_queued():
 
 
 def test_scheduling_in_the_past_raises():
-    sim = Simulator()
-    sim.schedule(10, lambda _: None, None)
-    sim.run_until(10)
-    with pytest.raises(SchedulingError):
-        sim.schedule(9, lambda _: None, None)
+    for n in (1, 2):
+        sim = Simulator()
+        assert sim.schedule(10, lambda _: None) == 0
+        sim.run_until(10)
+        with pytest.raises(SchedulingError):
+            sim.schedule(9, lambda _: None, None, n)
+        # a refused call takes no numbers; one at now is allowed
+        assert sim.schedule(10, lambda _: None, None, n) == 1
+        assert sim.schedule(10, lambda _: None) == 1 + n
+        sim.run_until(20)
+        assert sim.events_processed == 3
 
 
 def test_schedule_at_now_is_allowed():
@@ -79,16 +85,16 @@ def test_schedule_at_now_is_allowed():
 def test_a_block_takes_n_numbers_and_fires_under_the_last():
     sim = Simulator()
     fired = []
-    sim.schedule(10, fired.append, "a")
-    assert sim.schedule_block(10, 3, fired.append, "block") == 1
-    sim.schedule(10, fired.append, "c")  # the next number is first + n
+    assert sim.schedule(10, fired.append, "a") == 0
+    assert sim.schedule(10, fired.append, "block", 3) == 1
+    assert sim.schedule(10, fired.append, "c") == 4  # first + n
     assert sorted(e[:2] for e in sim._heap) == [(10, 0), (10, 3), (10, 4)]
     sim.run_until(10)
     assert fired == ["a", "block", "c"] and sim.events_processed == 3
 
 
-# an event (n == 0) or a block of n sequence numbers: (at, n); what the j-th
-# event to fire schedules, at its own time plus at
+# an event of one sequence number, n omitted (n == 0), or of n numbers:
+# (at, n); what the j-th event to fire schedules, at its own time plus at
 OPS = st.tuples(st.integers(0, 40), st.integers(0, 4))
 
 
@@ -104,13 +110,13 @@ def test_blocks_fire_in_key_order_under_their_last_number(ops, spawns, ends):
     fired = []
 
     def add(at, n):
+        taken = [next(numbers) for _ in range(max(n, 1))]
         if n == 0:
-            sim.schedule(at, fire, len(keys))
-            keys.append((at, next(numbers)))
+            first = sim.schedule(at, fire, len(keys))
         else:
-            taken = [next(numbers) for _ in range(n)]
-            assert sim.schedule_block(at, n, fire, len(keys)) == taken[0]
-            keys.append((at, taken[-1]))
+            first = sim.schedule(at, fire, len(keys), n)
+        assert first == taken[0]
+        keys.append((at, taken[-1]))
 
     def fire(k):
         assert sim.now == keys[k][0]
@@ -125,17 +131,6 @@ def test_blocks_fire_in_key_order_under_their_last_number(ops, spawns, ends):
         sim.run_until(end)
         assert fired == sorted(key for key in keys if key[0] <= end)
         assert sim.events_processed == len(fired)
-
-
-def test_schedule_block_in_the_past_raises():
-    sim = Simulator()
-    sim.run_until(10)
-    with pytest.raises(SchedulingError):
-        sim.schedule_block(9, 2, lambda _: None, None)
-    # a refused block takes no numbers; one at now is allowed
-    assert sim.schedule_block(10, 2, lambda _: None, None) == 0
-    sim.run_until(20)
-    assert sim.events_processed == 1
 
 
 class GenTimer:
@@ -164,7 +159,7 @@ class GenTimer:
 
 
 # what a callback does, in order: set timer a to now + b, cancel timer a,
-# schedule an event at now + a, or a block of b numbers at now + a
+# schedule an event at now + a, or one of b numbers at now + a
 ACTIONS = st.one_of(
     st.tuples(st.just("set"), st.integers(0, 1), st.integers(0, 6)),
     st.tuples(st.just("cancel"), st.integers(0, 1), st.just(0)),
@@ -202,7 +197,7 @@ def _drive_timers(use_timer, script, ends):
             elif kind == "event":
                 sim.schedule(now + a, on_event, next(op_ids))
             else:
-                sim.schedule_block(now + a, b, on_event, next(op_ids))
+                sim.schedule(now + a, on_event, next(op_ids), b)
         if use_timer:
             for t, extra in zip(timers, earlier):
                 own = [e[:2] for e in sim._heap

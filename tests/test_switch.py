@@ -400,6 +400,17 @@ def test_ingress_link_paces_and_delays_cells():
     assert sim.events_processed == 8
 
 
+def test_a_run_of_no_cells_raises():
+    """Two frames registered at one time, the heap's top holding the higher
+    seq: only a broken merge or heap order yields a run of no cells, and the
+    port refuses it rather than take it."""
+    sim, port = make_port(EPD)
+    port.arrivals += [[1000, 10, 0, make_frame(0, 4), 2831],
+                      [1000, 3, 0, make_frame(1, 4), 2831]]
+    with pytest.raises(RuntimeError, match="port fwd: .* t=1000 ns, seq 10$"):
+        port.catch_up(10 ** 6)
+
+
 def test_egress_link_delivers_intact_frames_at_arrival_time():
     sim = Simulator()
     delivered = []
