@@ -61,17 +61,27 @@ def test_run_until_leaves_future_events_queued():
 
 
 def test_scheduling_in_the_past_raises():
-    for n in (1, 2):
-        sim = Simulator()
-        assert sim.schedule(10, lambda _: None) == 0
-        sim.run_until(10)
-        with pytest.raises(SchedulingError):
-            sim.schedule(9, lambda _: None, None, n)
-        # a refused call takes no numbers; one at now is allowed
-        assert sim.schedule(10, lambda _: None, None, n) == 1
-        assert sim.schedule(10, lambda _: None) == 1 + n
-        sim.run_until(20)
-        assert sim.events_processed == 3
+    sim = Simulator()
+    assert sim.schedule(10, lambda _: None) == 0
+    sim.run_until(10)
+    with pytest.raises(SchedulingError):
+        sim.schedule(9, lambda _: None)
+    # a refused call takes no number; one at now is allowed
+    assert sim.schedule(10, lambda _: None) == 1
+    sim.run_until(20)
+    assert sim.events_processed == 2
+
+
+def test_schedule_block_in_the_past_raises():
+    sim = Simulator()
+    sim.run_until(10)
+    with pytest.raises(SchedulingError):
+        sim.schedule(9, lambda _: None, None, 2)
+    # a refused block takes no numbers; one at now is allowed
+    assert sim.schedule(10, lambda _: None, None, 2) == 0
+    assert sim.schedule(10, lambda _: None) == 2
+    sim.run_until(20)
+    assert sim.events_processed == 2
 
 
 def test_schedule_at_now_is_allowed():
