@@ -60,8 +60,9 @@ class PolicyPort:
     EPD discards an arriving frame entirely when occupancy exceeds R*K.
     Selective Drop additionally requires the frame's VC to hold more than
     Z*X/N_a cells, i.e. more than its share among the N_a VCs currently
-    buffered.  Any other arrival that meets a full buffer is tail-dropped,
-    and the rest of its frame, eom included, is discarded with it.
+    buffered (`n_active`, derived from `x_per_vc`).  Any other arrival that
+    meets a full buffer is tail-dropped, and the rest of its frame, eom
+    included, is discarded with it.
 
     Cells arrive in runs of consecutive cells of one frame, `step` ns apart,
     and step never exceeds the port's cell time.  The cells a run admits
@@ -96,7 +97,6 @@ class PolicyPort:
         self.arrivals: list = []  # registered by the ingress links
         self._free_at = 0  # departure time of the last admitted cell
         self.x_per_vc = [0] * num_vcs
-        self.n_active = 0
         self._dropping: list = [None] * num_vcs  # the frame each VC discards
         self.tail_drops = [0] * num_vcs  # DROP_TAIL_OVERFLOW verdicts per VC
         self.egress = [None] * num_vcs  # set by the topology builder
@@ -196,10 +196,7 @@ class PolicyPort:
             dep = t + g + tx
             last = self._free_at = dep + (a - 1) * tx
             q.append([dep, a, vc])
-            xi = self.x_per_vc[vc]
-            if xi == 0:
-                self.n_active += 1
-            self.x_per_vc[vc] = xi + a
+            self.x_per_vc[vc] += a
             self.egress[vc].offer(
                 frame if a == m and j == frame.n else None, a, last)
         if a < m:
@@ -236,12 +233,14 @@ class PolicyPort:
             else:
                 k = count
                 q.popleft()
-            xi = x_per_vc[vc] - k
-            x_per_vc[vc] = xi
-            if xi == 0:
-                self.n_active -= 1
+            x_per_vc[vc] -= k
             out += k
         self.cells_out += out
+
+    @property
+    def n_active(self) -> int:
+        """N_a: the VCs with a cell buffered."""
+        return len(self.x_per_vc) - self.x_per_vc.count(0)
 
     @property
     def occupancy(self) -> int:
@@ -260,7 +259,6 @@ class PolicyPort:
              sum(block[1] for block in self.queue) == held),
             ("cell conservation", self.conservation_ok()),
             ("sum(x_per_vc) == occupancy", sum(x) == held),
-            ("n_active == nonzero x_per_vc", self.n_active == len(x) - x.count(0)),
             ("egress cells_in == cells_out + occupancy",
              sum(e.cells_in for e in self.egress) == self.cells_out + held),
             # a tail drop cuts a frame's eom off, and the cells it admitted

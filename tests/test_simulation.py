@@ -330,8 +330,6 @@ def _bump(obj, attr, by=1):
 PORT_CORRUPTIONS = [
     (lambda topo: topo.reverse.x_per_vc.__setitem__(0, topo.reverse.x_per_vc[0] + 1),
      "sum(x_per_vc) == occupancy"),
-    (lambda topo: _bump(topo.reverse, "n_active"),
-     "n_active == nonzero x_per_vc"),
     (lambda topo: _bump(topo.reverse.egress[0], "cells_in"),
      "egress cells_in == cells_out + occupancy"),
     (lambda topo: _bump(topo.reverse, "cells_in"),
@@ -574,6 +572,41 @@ def test_tiny_wan_grid_drop_log_is_pinned_byte_for_byte(tmp_path):
     write_results(results, str(out))  # logging drops changes no result
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == RESULTS_DIGESTS["wan"]
+
+
+# One short cell per class at the paper's scale (100 connections, scale-1
+# buffers, seed 1), so the port's closed forms are pinned at the paper's
+# frame-to-buffer ratio too: the SHA-256 of its results CSV and of its drop
+# log, with its forward cells dropped and drop-log rows.
+PAPER_SCALE_PINS = {
+    ("wan", "epd", "vanilla", "0.5", 2.0): (
+        "730b2ce6726eccef27c5cd57941caf84640e58535602a3887b8740e333602893",
+        "9cf71979eb3389536642b365fcdfb462664c73ecdf889eb6f51efdcf91cc2f67",
+        23_482, 1_124),
+    ("meo", "sd", "reno", "1", 2.0): (
+        "1241a91236b7b82f2f226f2e9d6d5c798ab24c88aa061b9d5a32a7d8c3061b4d",
+        "b103e8a8f130ca5e171003941ff42f6db8284ee323844715aab7b028b0a85a51",
+        48_229, 271),
+    ("geo", "epd", "sack", "0.5", 3.0): (
+        "514211edc5419a156ca7ae5eb85d88641b781923cae1602ce82ecc134d1c306f",
+        "c28ed8b19824a48d64f259f27d72e3b4ea27133dc29286c92924a1dd4269c266",
+        43_363, 230),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PAPER_SCALE_PINS),
+                         ids=lambda cell: "-".join(map(str, cell)))
+def test_paper_scale_cell_is_pinned_byte_for_byte(cell, tmp_path):
+    delay_class, policy, flavor, buffer_rtt, duration_s = cell
+    results_digest, drops_digest, dropped, drop_rows = PAPER_SCALE_PINS[cell]
+    sc = build_scenario(delay_class, seed=1, scale=1.0, duration_s=duration_s)
+    res = run_cell_safe(RunSpec(sc, policy, flavor, buffer_rtt), log_drops=True)
+    assert (res.status, res.connections, res.cells_dropped) == ("ok", 100, dropped)
+    results, drops = tmp_path / "results.csv", tmp_path / "drops.csv"
+    write_results([res], str(results))
+    assert experiment.write_drop_logs([res], str(drops)) == drop_rows
+    assert hashlib.sha256(results.read_bytes()).hexdigest() == results_digest
+    assert hashlib.sha256(drops.read_bytes()).hexdigest() == drops_digest
 
 
 def test_delay_class_constants_cover_all_orbits():
