@@ -18,7 +18,10 @@ Flavors:
            (retransmissions first) only while pipe < cwnd
 
 The sender's scoreboard holds one record per unacknowledged segment, from
-snd_una to snd_nxt; the ACK that covers a record drops it.
+snd_una to snd_nxt; the ACK that covers a record drops it.  The receiver
+keeps its data above rcv_nxt as ranges that merge when they overlap or
+touch, newest first: the range holding the latest arrival leads, so a sack
+ACK's blocks are the first three ranges (RFC 2018).
 """
 
 from __future__ import annotations
@@ -92,8 +95,7 @@ class TcpEndpoint:
         self._timed_at = 0
         # --- receiver ---
         self.rcv_nxt = 0
-        self._ooo: list[list] = []    # [start, end, recency] above rcv_nxt
-        self._stamp = 0
+        self._ooo: list[tuple] = []   # (start, end) above rcv_nxt, newest first
         # --- counters ---
         self.rexmit_segs = 0
         self.timeouts = 0
@@ -335,41 +337,34 @@ class TcpEndpoint:
             self._send_ack()                     # pure duplicate
             return
         if start <= self.rcv_nxt:
+            if self._ooo:
+                # join the ranges that start by `end`; the ranges never touch,
+                # so none that stays can start by the joined end
+                end = max([end] + [r[1] for r in self._ooo if r[0] <= end])
+                self._ooo = [r for r in self._ooo if r[0] > end]
+            delivered = end - self.rcv_nxt
             self.rcv_nxt = end
-            ooo = self._ooo
-            while ooo and ooo[0][0] <= self.rcv_nxt:
-                if ooo[0][1] > self.rcv_nxt:
-                    self.rcv_nxt = ooo[0][1]
-                ooo.pop(0)
-            delivered = self.rcv_nxt - start
             if self.app_recv is not None:
                 self.app_recv(delivered)
-            self._send_ack()
         else:
             self._insert_ooo(start, end)
-            self._send_ack()
+        self._send_ack()
 
     def _insert_ooo(self, start: int, end: int) -> None:
-        self._stamp += 1
-        ooo = self._ooo
-        i = 0
-        while i < len(ooo) and ooo[i][1] < start:
-            i += 1
-        # merge every range overlapping or adjacent to [start, end)
-        j = i
-        while j < len(ooo) and ooo[j][0] <= end:
-            start = min(start, ooo[j][0])
-            end = max(end, ooo[j][1])
-            j += 1
-        ooo[i:j] = [[start, end, self._stamp]]
+        """Merge every range that overlaps or touches [start, end) into one,
+        which goes first: the ranges never touch, so one pass finds them all."""
+        kept = []
+        for r in self._ooo:
+            if r[1] < start or r[0] > end:
+                kept.append(r)
+            else:
+                start, end = min(start, r[0]), max(end, r[1])
+        self._ooo = [(start, end)] + kept
 
     def _sack_blocks(self) -> tuple:
-        if self.flavor != SACK or not self._ooo:
-            return ()
-        # most recent first: _insert_ooo restamps the range holding the
-        # segment just received, so it leads, as RFC 2018 requires
-        ranges = sorted(self._ooo, key=lambda r: -r[2])
-        return tuple((r[0], r[1]) for r in ranges[:3])
+        # the range holding the segment just received leads, then the most
+        # recently reported ones, at most three (RFC 2018)
+        return tuple(self._ooo[:3]) if self.flavor == SACK else ()
 
     def _send_ack(self) -> None:
         self.transmit(tuple.__new__(

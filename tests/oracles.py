@@ -198,3 +198,47 @@ def offered_load_bps(master_seed, clients, duration_s):
                     total += draw_response_bytes(size_rng)
             t += seconds(10.0)
     return total * 8.0 / duration_s
+
+
+class ReferenceReceiver:
+    """A TCP receiver written from RFC 793 and RFC 2018 (Mathis et al., 1996).
+
+    The reference for `ubrsim.tcp.TcpEndpoint`'s receiving side.  It keeps
+    the data above rcv_nxt as [start, end, stamp] ranges in sequence order,
+    each stamped with the number of the latest arrival it holds.  An arrival
+    is added as a range of its own, then the list is sorted and every pair
+    that overlaps or touches is coalesced, keeping the larger stamp.  The
+    first range is delivered while it starts at or below rcv_nxt.  Like the
+    model, it drops a whole segment that ends beyond the window and ACKs
+    every arrival.  Its ACK names the ranges as SACK blocks by falling
+    stamp, at most three: the block holding the segment that triggered it
+    first, then the most recently reported ones.
+    """
+
+    def __init__(self, rcv_wnd):
+        self.rcv_wnd = rcv_wnd
+        self.rcv_nxt = 0
+        self.delivered = 0      # bytes handed to the application in total
+        self.ranges = []
+        self.arrivals = 0
+
+    def arrive(self, start, end):
+        """Take the segment [start, end) and return its ACK, (ack, blocks)."""
+        self.arrivals += 1
+        if self.rcv_nxt < end <= self.rcv_nxt + self.rcv_wnd:
+            coalesced = []
+            for r in sorted(self.ranges + [[start, end, self.arrivals]]):
+                if coalesced and r[0] <= coalesced[-1][1]:
+                    last = coalesced[-1]
+                    last[1] = max(last[1], r[1])
+                    last[2] = max(last[2], r[2])
+                else:
+                    coalesced.append(list(r))
+            while coalesced and coalesced[0][0] <= self.rcv_nxt:
+                r = coalesced.pop(0)
+                if r[1] > self.rcv_nxt:
+                    self.delivered += r[1] - self.rcv_nxt
+                    self.rcv_nxt = r[1]
+            self.ranges = coalesced
+        newest = sorted(self.ranges, key=lambda r: r[2], reverse=True)
+        return self.rcv_nxt, tuple((r[0], r[1]) for r in newest[:3])

@@ -33,3 +33,10 @@ def test_readme_layout_table_lists_exactly_the_modules():
     modules = [p.stem for p in (ROOT / "src" / "ubrsim").glob("*.py")
                if p.stem not in ("__init__", "__main__")]
     assert sorted(listed) == sorted(modules)
+
+
+def test_readme_names_the_workloads_ci_benchmarks():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    ci = re.search(r"for workload in ([^;]+);", workflow).group(1).split()
+    named = re.findall(r"`((?:cell|grid)-[\w-]+)`", section("Testing"))
+    assert named == ci

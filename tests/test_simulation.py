@@ -574,10 +574,11 @@ def test_tiny_wan_grid_drop_log_is_pinned_byte_for_byte(tmp_path):
     assert digest == RESULTS_DIGESTS["wan"]
 
 
-# One short cell per class at the paper's scale (100 connections, scale-1
-# buffers, seed 1), so the port's closed forms are pinned at the paper's
-# frame-to-buffer ratio too: the SHA-256 of its results CSV and of its drop
-# log, with its forward cells dropped and drop-log rows.
+# Short cells at the paper's scale (100 connections, scale-1 buffers, seed
+# 1), so the port's closed forms are pinned at the paper's frame-to-buffer
+# ratio too: the SHA-256 of each cell's results CSV and of its drop log, with
+# its forward cells dropped and drop-log rows.  The first cell of each class
+# drops only at frame starts.
 PAPER_SCALE_PINS = {
     ("wan", "epd", "vanilla", "0.5", 2.0): (
         "730b2ce6726eccef27c5cd57941caf84640e58535602a3887b8740e333602893",
@@ -591,6 +592,16 @@ PAPER_SCALE_PINS = {
         "514211edc5419a156ca7ae5eb85d88641b781923cae1602ce82ecc134d1c306f",
         "c28ed8b19824a48d64f259f27d72e3b4ea27133dc29286c92924a1dd4269c266",
         43_363, 230),
+    # the two cells that also tail-drop: 107 and 48 drop-log rows are tail
+    # drops, and 77 and 31 forward frames fail reassembly
+    ("wan", "sd", "sack", "0.5", 2.0): (
+        "72fc43e0a536a5604b0b5aa900151871a8b109e2e9ecbb7e7afa1ba59d83a3dd",
+        "4ef32a11dc05fc0c776c596ed902676017d39b167298765a8851691096bbb5f3",
+        32_994, 1_544),
+    ("meo", "sd", "reno", "0.5", 2.0): (
+        "cd5c55f65043621f475f3d9cac3e4460cae1757dbbdff08718e4479f52dacf70",
+        "f373186632fc3d4cf98ab354552bf9b2bfae23b3c5f914a4ef2c86f54ff99c48",
+        38_076, 264),
 }
 
 

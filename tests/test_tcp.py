@@ -1,12 +1,18 @@
-"""TCP flavors over a scripted wire: growth, recovery, timers, robustness."""
+"""TCP flavors over a scripted wire: growth, recovery, timers, robustness;
+the receiver against its RFC 2018 reference; closed-form throughput."""
 
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ubrsim.aal5 import Segment
-from ubrsim.kernel import NS_PER_MS, NS_PER_SEC, Simulator
+from oracles import ReferenceReceiver
+from ubrsim.aal5 import Segment, max_tcp_throughput
+from ubrsim.kernel import NS_PER_MS, NS_PER_SEC, Simulator, seconds
+from ubrsim.netsim import Topology
+from ubrsim.scenarios import RunSpec, build_scenario
 from ubrsim.tcp import (FLAVORS, NEWRENO, RENO, SACK, VANILLA, TcpEndpoint,
                         initial_ssthresh)
 
@@ -333,6 +339,41 @@ def test_receiver_merges_out_of_order_ranges_and_orders_sack_blocks():
     assert acks[-1].sacks == ((5000, 6000), (7000, 8000))
 
 
+def assert_receiver_matches_reference(arrivals, unit):
+    """Feed a sack receiver and the RFC 2018 reference the same segments,
+    each (offset, length) in `unit` bytes with its offset taken from the
+    current rcv_nxt, and compare them after every arrival."""
+    rcv_wnd = 8 * MSS
+    acks, delivered = [], []
+    r = TcpEndpoint(Simulator(), SACK, MSS, rcv_wnd, 1_000_000, acks.append)
+    r.app_recv = delivered.append
+    ref = ReferenceReceiver(rcv_wnd)
+    for offset, length in arrivals:
+        start = max(r.rcv_nxt + offset * unit, 0)
+        r.on_frame(Segment(start, length * unit, None))
+        ack = ref.arrive(start, start + length * unit)
+        assert len(acks) == 1
+        assert ((r.rcv_nxt, sum(delivered), (acks[0].ack, acks[0].sacks))
+                == (ref.rcv_nxt, ref.delivered, ack)), (start, length * unit)
+        acks.clear()
+
+
+# an offset of 0 is in order, a negative one a repeat, a positive one leaves
+# a gap, and one of 8 or more lands beyond the 8-MSS window
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 9), st.just(1)), max_size=60))
+def test_sack_receiver_matches_the_rfc_2018_reference(arrivals):
+    assert_receiver_matches_reference(arrivals, MSS)
+
+
+# segments of any size at any byte, so one can straddle rcv_nxt or a range
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2500, 9000), st.integers(1, 2500)),
+                max_size=60))
+def test_receiver_matches_the_reference_on_unaligned_segments(arrivals):
+    assert_receiver_matches_reference(arrivals, 1)
+
+
 def test_receiver_drops_data_beyond_its_window():
     sim = Simulator()
     acks = []
@@ -379,11 +420,37 @@ def test_all_bytes_delivered_under_random_loss(flavor, seed):
 def test_endpoint_invariants_hold_after_every_event_under_random_loss(flavor):
     for seed in range(1, 21):
         sim, a, b, total = lossy_transfer(flavor, seed)
-        while sim._heap:                     # step to each next event time
+        # step to each next event time, up to the horizon of the test above,
+        # so a transfer that never completes fails below instead of hanging
+        while sim._heap and sim._heap[0][0] <= 600 * NS_PER_SEC:
             sim.run_until(sim._heap[0][0])
             broken = (a.broken_invariant(), b.broken_invariant())
             assert broken == (None, None), (seed, sim.now, broken)
         assert b.rcv_nxt == a.snd_una == total
+
+
+# buffers that one connection's window cannot fill: at scale 0.1 the wan
+# window is 64 segments of 23 cells (1,472), the meo and geo windows 15 and
+# 58 segments of 193 cells (2,895 and 11,194).  Goodput is measured after
+# slow start, from 10 s to 30 s
+@pytest.mark.parametrize("delay_class,buffer_cells",
+                         [("wan", 2_000), ("meo", 20_000), ("geo", 20_000)])
+def test_one_connection_reaches_the_closed_form_throughput(delay_class,
+                                                           buffer_cells):
+    sc = build_scenario(delay_class, scale=0.1, connections=1, duration_s=30.0,
+                        buffers=(buffer_cells,) * 3)
+    topo = Topology(RunSpec(sc, "epd", SACK, "1"))
+    try:
+        topo.servers[0].write(10**9)
+        topo.sim.run_until(seconds(10))
+        at_10s = topo.clients[0].rcv_nxt
+        topo.sim.run_until(seconds(30))
+        goodput = (topo.clients[0].rcv_nxt - at_10s) * 8 / 20
+        assert (topo.forward.cells_dropped, topo.reverse.cells_dropped) == (0, 0)
+        assert goodput == pytest.approx(
+            max_tcp_throughput(sc.mss, sc.bottleneck_bps), rel=1e-3)
+    finally:
+        topo.close()
 
 
 def test_unknown_flavor_rejected():
