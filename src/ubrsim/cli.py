@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 run or input error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from . import __version__
@@ -75,6 +77,8 @@ def _cmd_run(args) -> int:
     if args.drop_log and args.out == "-":
         raise ValueError("--drop-log needs --out, the log is written "
                          "next to the results file")
+    if args.out != "-" and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
 
     def progress(i, total, res):
         if args.quiet:

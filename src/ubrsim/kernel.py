@@ -3,15 +3,11 @@
 Time is an integer count of simulated nanoseconds so that event ordering is
 exact and runs are bit-reproducible across platforms.
 
-Ordering contract: `schedule(at, fn, arg, n)` takes n >= 1 consecutive
-sequence numbers, one by default, and returns the first; its event has key
-(at, last of them), and events fire in strictly increasing key order.  So
-events at one time fire in schedule order, and an event of n numbers fires
-exactly where the last of n separate calls would.  The other n - 1 numbers
-are the caller's, for work it keys and does itself at or before `at`: a
-bottleneck port numbers a frame's cells with them and takes the cells when
-the frame's event fires.  `events_processed` counts the events that fire; a
-handler that does such work adds what it did.
+Ordering contract: `schedule(at, fn, arg)` keys its event (at, the next
+sequence number) and returns that number; events fire in strictly
+increasing key order, so events at one time fire in schedule order.  The
+kernel numbers events only: `events_processed` counts those that fire, and
+a handler that does more, as a port taking a frame's cells, adds what it did.
 
 A `Timer(sim, fn)` is a deadline that is reset far more often than it
 expires.  Each `set(at)` takes a sequence number as `schedule` does, and fn()
@@ -97,14 +93,14 @@ class Simulator:
             self._streams[stream_id] = s
         return s
 
-    def schedule(self, at: int, fn, arg=None, n: int = 1) -> int:
-        """Schedule fn(arg) at virtual time `at` (ns) under the last of n
-        new sequence numbers; return the first.  Past times are fatal."""
+    def schedule(self, at: int, fn, arg=None) -> int:
+        """Schedule fn(arg) at virtual time `at` (ns) under the next
+        sequence number; return it.  Past times are fatal."""
         if at < self.now:
             raise SchedulingError(f"schedule at t={at} ns before now={self.now} ns")
         seq = self._seq
-        self._seq = seq + n
-        heappush(self._heap, (at, seq + n - 1, fn, arg))
+        self._seq = seq + 1
+        heappush(self._heap, (at, seq, fn, arg))
         return seq
 
     def clear(self) -> None:

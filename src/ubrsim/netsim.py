@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .aal5 import Reassembler, Segment, segment_to_cells
+from .aal5 import Segment, segment_to_cells
 from .kernel import Simulator, seconds
 from .metrics import efficiency, fairness
 from .scenarios import RunSpec
@@ -89,7 +89,7 @@ class Topology:
                 sender.transmit = _make_transmit(c, ingress)
                 port.egress[c] = EgressLink(
                     self.sim, sc.access_bps, sc.bottleneck_prop_ns,
-                    sc.access_prop_ns, Reassembler(), receiver.on_frame)
+                    sc.access_prop_ns, receiver.on_frame)
             self.client_apps.append(ClientApp(client, c, duration_ns))
             ServerApp(server, c)  # lives on as server.app_recv
             self.servers.append(server)

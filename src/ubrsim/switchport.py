@@ -3,15 +3,15 @@
 Every cell arrival at an inter-switch output port counts as one event, and
 the drop policy is evaluated at frame boundaries against the live buffer
 state.  A frame is one `aal5.Frame(vc, n, seg)` of n cells whose eom cell n
-carries seg.  Its ingress link numbers the cells with n kernel sequence
-numbers and registers them with the port, and the kernel holds one event
-for the frame, at its eom cell's key.  When it fires, the port takes every
-registered cell up to that eom in (time, seq) order, in runs of consecutive
-cells of one frame, and judges each run in one call: the policy at the
-frame's first cell, one block of the cells that find room, and the cell that
-meets a full buffer, if any, found in closed form.  Only an eom cell can
-schedule an event, so taking body cells late changes nothing the rest of
-the simulation sees.
+carries seg.  Its ingress link schedules one kernel event for the frame, at
+its eom cell's time, and registers the cells with the port under that
+event's sequence number, so cells that tie in time come in offer order.
+When it fires, the port takes every registered cell up to that eom in
+(time, seq) order, in runs of consecutive cells of one frame, and judges
+each run in one call: the policy at the frame's first cell, one block of
+the cells that find room, and the cell that meets a full buffer, if any,
+found in closed form.  Only an eom cell can schedule an event, so taking
+body cells late changes nothing the rest of the simulation sees.
 The ports and the lossless access links are all exact closed-form FIFO rate
 servers: a cell departs at max(arrival, previous departure) + 424/rate, with
 no per-cell transmission event.  A port retires the cells that have left
@@ -27,7 +27,7 @@ import math
 from collections import deque
 from heapq import heappop, heappush, heapreplace
 
-from .aal5 import CELL_BYTES, Frame
+from .aal5 import CELL_BYTES, Frame, Reassembler
 from .kernel import Simulator
 
 EPD = "epd"
@@ -77,8 +77,9 @@ class PolicyPort:
     run ends at j == n.
 
     `arrivals` is a heap of the frames whose cells have not all arrived,
-    each as [next cell's time, its seq, its index, frame, step], ordered by
-    the next cell's key.  A run ends before the next key of another frame.
+    each as [next cell's time, seq, its index, frame, step], seq the number
+    of the frame's kernel event, so tied cells come in offer order.  A run
+    ends before the next cell of another frame.
     `catch_up(end)` takes the cells that arrive by `end` and retires those
     gone by then, so the port's state is its state at `end`.
     """
@@ -131,14 +132,14 @@ class PolicyPort:
             if j > n:
                 j = n
             if len(arrivals) > 1:
-                # the cells before the next key of another frame: cell i+d
+                # the cells before the next cell of another frame: cell i+d
                 # is the last one not after its time, and comes first if it
-                # is earlier or ties it with a lower seq
+                # is earlier or its frame was offered first
                 nxt = arrivals[1]
                 if len(arrivals) > 2 and arrivals[2] < nxt:
                     nxt = arrivals[2]
                 d, r = divmod(nxt[0] - t, step)
-                below = i + d + (r > 0 or seq + d < nxt[1])
+                below = i + d + (r > 0 or seq < nxt[1])
                 if below < j:
                     if below <= i:  # only a broken merge or heap order
                         raise RuntimeError(f"port {self.name}: a run of no "
@@ -151,9 +152,7 @@ class PolicyPort:
                 if f is frame:
                     break
             else:
-                m = j - i
-                rec[0] = t + m * step
-                rec[1] = seq + m
+                rec[0] = t + (j - i) * step
                 rec[2] = j
                 heapreplace(arrivals, rec)
         return taken
@@ -275,8 +274,8 @@ class IngressLink:
     Exact FIFO rate server: cells offered at time t depart at
     max(t, previous departure) + tx and reach the switch one propagation
     delay later, where each is a port arrival event.  A frame's cells are
-    evenly spaced, so they go to the port as one arrival record, numbered by
-    one `schedule` call of n numbers whose event is the eom cell's.
+    evenly spaced, so they go to the port as one arrival record under the
+    sequence number of the frame's one kernel event, the eom cell's.
     """
 
     __slots__ = ("sim", "port", "tx_ns", "prop_ns", "_free_at")
@@ -295,7 +294,7 @@ class IngressLink:
         n = frame.n
         first = start + tx + self.prop_ns
         port = self.port
-        seq = self.sim.schedule(first + (n - 1) * tx, port.on_cell, frame, n)
+        seq = self.sim.schedule(first + (n - 1) * tx, port.on_cell, frame)
         heappush(port.arrivals, [first, seq, 0, frame, tx])
         self._free_at = start + tx * n
 
@@ -307,8 +306,8 @@ class EgressLink:
     finishes sending the last of them.  They leave the port back to back, and
     the access link is at least as fast as the bottleneck, so it never holds
     a cell back: the last one leaves it tx after it arrives, exactly as if
-    each cell had been offered on its own.  Body cells are tallied into the
-    reassembler immediately (their delivery order within the frame is
+    each cell had been offered on its own.  Body cells are tallied into its
+    reassembler `reasm` at once (their delivery order within the frame is
     immaterial); the frame verdict is computed at the eom cell, even one the
     port still holds, and, when the frame is intact, delivery of the segment
     to the endpoint is scheduled for the eom cell's arrival time.
@@ -317,9 +316,9 @@ class EgressLink:
     __slots__ = ("sim", "reasm", "deliver", "delay_ns", "cells_in")
 
     def __init__(self, sim: Simulator, rate_bps: float, bottleneck_prop_ns: int,
-                 access_prop_ns: int, reassembler, deliver):
+                 access_prop_ns: int, deliver):
         self.sim = sim
-        self.reasm = reassembler
+        self.reasm = Reassembler()
         self.deliver = deliver  # deliver(segment) at the endpoint
         # port departure to arrival at the endpoint
         self.delay_ns = bottleneck_prop_ns + cell_time_ns(rate_bps) + access_prop_ns

@@ -61,6 +61,19 @@ def test_run_drop_log_needs_out_file(capsys):
                                        "is written next to the results file\n")
 
 
+def test_run_into_a_missing_directory_fails_before_the_first_cell(tmp_path,
+                                                                  capsys):
+    out = tmp_path / "missing" / "res.csv"
+    rc = main(["run", "--delay-class", "wan", "--scale", "0.1",
+               "--connections", "1", "--duration-s", "0.5", "--drop-log",
+               "--out", str(out)])
+    assert rc == 1
+    # no progress line: no cell ran
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{out}'\n")
+    assert not out.parent.exists()
+
+
 def test_run_drop_log_written_next_to_results(tmp_path):
     rc, out = run_grid_to(tmp_path, "res.csv", argv_extra=("--drop-log",))
     assert rc == 0

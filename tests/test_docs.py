@@ -1,10 +1,12 @@
 """README drift: the documented run inputs, CSV columns and modules are the
 code's."""
 
+import inspect
 import re
 from pathlib import Path
 
 from ubrsim.cli import SCENARIO_INPUTS
+from ubrsim.kernel import Simulator
 from ubrsim.netsim import CSV_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,3 +42,9 @@ def test_readme_names_the_workloads_ci_benchmarks():
     ci = re.search(r"for workload in ([^;]+);", workflow).group(1).split()
     named = re.findall(r"`((?:cell|grid)-[\w-]+)`", section("Testing"))
     assert named == ci
+
+
+def test_readme_schedule_call_has_the_kernel_signature():
+    quoted = re.findall(r"`schedule\(([^)]*)\)`", README)
+    params = list(inspect.signature(Simulator.schedule).parameters)[1:]
+    assert quoted and all(re.split(r",\s*", q) == params for q in quoted)

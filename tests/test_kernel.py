@@ -1,4 +1,4 @@
-"""Event kernel: ordering, blocks, timers, error handling, RNG stream stability."""
+"""Event kernel: ordering, timers, error handling, RNG stream stability."""
 
 import functools
 import itertools
@@ -72,18 +72,6 @@ def test_scheduling_in_the_past_raises():
     assert sim.events_processed == 2
 
 
-def test_schedule_block_in_the_past_raises():
-    sim = Simulator()
-    sim.run_until(10)
-    with pytest.raises(SchedulingError):
-        sim.schedule(9, lambda _: None, None, 2)
-    # a refused block takes no numbers; one at now is allowed
-    assert sim.schedule(10, lambda _: None, None, 2) == 0
-    assert sim.schedule(10, lambda _: None) == 2
-    sim.run_until(20)
-    assert sim.events_processed == 2
-
-
 def test_schedule_at_now_is_allowed():
     sim = Simulator()
     fired = []
@@ -92,51 +80,35 @@ def test_schedule_at_now_is_allowed():
     assert fired == ["x"]
 
 
-def test_a_block_takes_n_numbers_and_fires_under_the_last():
-    sim = Simulator()
-    fired = []
-    assert sim.schedule(10, fired.append, "a") == 0
-    assert sim.schedule(10, fired.append, "block", 3) == 1
-    assert sim.schedule(10, fired.append, "c") == 4  # first + n
-    assert sorted(e[:2] for e in sim._heap) == [(10, 0), (10, 3), (10, 4)]
-    sim.run_until(10)
-    assert fired == ["a", "block", "c"] and sim.events_processed == 3
+# when an event is due: at a time from 0, or, for the one that the j-th
+# event to fire schedules, that long after it
+TIMES = st.integers(0, 40)
 
 
-# an event of one sequence number, n omitted (n == 0), or of n numbers:
-# (at, n); what the j-th event to fire schedules, at its own time plus at
-OPS = st.tuples(st.integers(0, 40), st.integers(0, 4))
-
-
-@given(st.lists(OPS, min_size=1, max_size=12), st.lists(OPS, max_size=20),
+@given(st.lists(TIMES, min_size=1, max_size=12), st.lists(TIMES, max_size=20),
        st.lists(st.integers(0, 90), min_size=1, max_size=4).map(sorted))
 @settings(max_examples=300, deadline=None)
-def test_blocks_fire_in_key_order_under_their_last_number(ops, spawns, ends):
+def test_spawned_events_fire_in_key_order(ops, spawns, ends):
     """Every event fires once, in the order of its key from an independent
-    count of the sequence numbers: a block's key is its last number."""
+    count of the sequence numbers: one number per event, in schedule order."""
     sim = Simulator()
     numbers = itertools.count()
     keys = []
     fired = []
 
-    def add(at, n):
-        taken = [next(numbers) for _ in range(max(n, 1))]
-        if n == 0:
-            first = sim.schedule(at, fire, len(keys))
-        else:
-            first = sim.schedule(at, fire, len(keys), n)
-        assert first == taken[0]
-        keys.append((at, taken[-1]))
+    def add(at):
+        seq = sim.schedule(at, fire, len(keys))
+        assert seq == next(numbers)
+        keys.append((at, seq))
 
     def fire(k):
         assert sim.now == keys[k][0]
         fired.append(keys[k])
         if len(fired) <= len(spawns):
-            at, n = spawns[len(fired) - 1]
-            add(sim.now + at, n)
+            add(sim.now + spawns[len(fired) - 1])
 
-    for at, n in ops:
-        add(at, n)
+    for at in ops:
+        add(at)
     for end in ends:
         sim.run_until(end)
         assert fired == sorted(key for key in keys if key[0] <= end)
@@ -169,12 +141,11 @@ class GenTimer:
 
 
 # what a callback does, in order: set timer a to now + b, cancel timer a,
-# schedule an event at now + a, or one of b numbers at now + a
+# or schedule an event at now + a
 ACTIONS = st.one_of(
     st.tuples(st.just("set"), st.integers(0, 1), st.integers(0, 6)),
     st.tuples(st.just("cancel"), st.integers(0, 1), st.just(0)),
-    st.tuples(st.just("event"), st.integers(0, 6), st.just(0)),
-    st.tuples(st.just("block"), st.integers(0, 6), st.integers(1, 3)))
+    st.tuples(st.just("event"), st.integers(0, 6), st.just(0)))
 
 
 def _drive_timers(use_timer, script, ends):
@@ -204,10 +175,8 @@ def _drive_timers(use_timer, script, ends):
                 timers[a].set(now + b)
             elif kind == "cancel":
                 timers[a].cancel()
-            elif kind == "event":
-                sim.schedule(now + a, on_event, next(op_ids))
             else:
-                sim.schedule(now + a, on_event, next(op_ids), b)
+                sim.schedule(now + a, on_event, next(op_ids))
         if use_timer:
             for t, extra in zip(timers, earlier):
                 own = [e[:2] for e in sim._heap

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from oracles import EventDrivenPort
-from ubrsim.aal5 import Frame, Reassembler, Segment, segment_to_cells
+from ubrsim.aal5 import Frame, Segment, segment_to_cells
 from ubrsim.kernel import Simulator
 from ubrsim.switchport import (DROP_FRAME_START, DROP_TAIL_OVERFLOW, EPD, SD,
                                Z, EgressLink, IngressLink, PolicyPort,
@@ -261,12 +261,12 @@ class ArrivalLog:
 
 def expected_arrivals(offers, tx, prop_ns):
     """(time, seq, frame, k) of every cell of `offers`, the (offer time,
-    frame) pairs scheduled in this order on a new kernel, in (time, seq)
-    order.  Each VC's link sends its frames back to back from
-    max(offer time, link free), and the kernel numbers each frame's cells
-    with the next n sequence numbers after the offers' own."""
+    frame) pairs in offer order, in (time, seq) order.  Each VC's link sends
+    its frames back to back from max(offer time, link free), and cells that
+    tie in time come in their frames' offer order: here each cell has its
+    own number, counted up in offer order."""
     free = {}
-    seq = len(offers)
+    seq = 0
     cells = []
     for t, frame in offers:
         start = max(t, free.get(frame.vc, 0))
@@ -386,11 +386,11 @@ def test_ingress_link_paces_and_delays_cells():
     seg = Segment(0, 100, None)
     link.offer_frame(segment_to_cells(0, seg))         # 4 cells
     link.offer_frame(segment_to_cells(0, seg))         # queued behind
-    # one kernel entry per frame, under the last of its 4 sequence numbers
+    # one kernel entry per frame, at its eom cell under one sequence number
     tx = 2831
-    assert sorted(e[:2] for e in sim._heap) == [(4 * tx + 5000, 3),
-                                                 (8 * tx + 5000, 7)]
-    assert sim._seq == 8
+    assert sorted(e[:2] for e in sim._heap) == [(4 * tx + 5000, 0),
+                                                 (8 * tx + 5000, 1)]
+    assert sim._seq == 2
     sim.run_until(10 ** 9)
     assert [t for t, _, _ in log.cells] == [tx * k + 5000 for k in range(1, 9)]
     assert [k for _, _, k in log.cells] == [0, 1, 2, 3] * 2
@@ -415,7 +415,7 @@ def test_egress_link_delivers_intact_frames_at_arrival_time():
     sim = Simulator()
     delivered = []
     link = EgressLink(sim, 149.76e6, bottleneck_prop_ns=5_000_000,
-                      access_prop_ns=5000, reassembler=Reassembler(),
+                      access_prop_ns=5000,
                       deliver=lambda seg: delivered.append((sim.now, seg)))
     seg = Segment(0, 100, None)
     frame = segment_to_cells(0, seg)
@@ -423,13 +423,13 @@ def test_egress_link_delivers_intact_frames_at_arrival_time():
     link.offer(frame, frame.n, 4 * 9422)
     sim.run_until(10 ** 9)
     assert delivered == [(4 * 9422 + 5_000_000 + 2831 + 5000, seg)]
+    assert link.reasm.frames_ok == 1
 
 
 def test_egress_link_drops_frame_missing_a_cell():
     sim = Simulator()
     delivered = []
-    reasm = Reassembler()
-    link = EgressLink(sim, 149.76e6, 5_000_000, 5000, reasm,
+    link = EgressLink(sim, 149.76e6, 5_000_000, 5000,
                       lambda seg: delivered.append(seg))
     seg = Segment(0, 100, None)
     frame = segment_to_cells(0, seg)
@@ -438,7 +438,7 @@ def test_egress_link_drops_frame_missing_a_cell():
     link.offer(segment_to_cells(0, good), frame.n, 7 * 9422)
     sim.run_until(10 ** 9)
     assert delivered == [good]
-    assert reasm.frames_corrupt == 1
+    assert link.reasm.frames_corrupt == 1
 
 
 def test_port_rejects_bad_parameters():
